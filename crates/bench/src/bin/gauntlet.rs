@@ -48,13 +48,9 @@ const BACKSTOP_STEPS: u64 = 2_000_000;
 /// Pathological programs mixed into the workload pool, chosen to exercise
 /// specific abort paths.
 const PATHOLOGICAL: &[(&str, &str)] = &[
-    // Diverging tail loop: constant space, infinite steps. The `n < 0`
-    // guard is unreachable from `spin(0)` but gives the lowering a loop
-    // exit (base-case-free recursion does not terminate *compilation*).
-    (
-        "spin",
-        "def spin(n) := if n < 0 then 0 else spin(n + 1)\ndef main() := spin(0)",
-    ),
+    // Diverging tail loop: constant space, infinite steps. Base-case-free,
+    // so it also proves compilation terminates on such recursion.
+    ("spin", "def spin(n) := spin(n + 1)\ndef main() := spin(0)"),
     // Diverging allocator: one fresh cell per iteration.
     (
         "allocbomb",

@@ -48,8 +48,8 @@ pub fn lower_body(body: &mut Body) {
 
 /// Fig 8A/8B: switch → region values + select / switch_val + run.
 fn lower_switch(body: &mut Body, op: OpId) {
-    let block = body.ops[op.index()].parent.expect("detached switch");
-    let tag = body.ops[op.index()].operands[0];
+    let block = body.ops[op.index()].parent().expect("detached switch");
+    let tag = body.ops[op.index()].operands()[0];
     let cases = body.ops[op.index()]
         .attr(AttrKey::Cases)
         .and_then(|a| a.as_int_list())
@@ -93,7 +93,7 @@ fn lower_switch(body: &mut Body, op: OpId) {
 
 /// Fig 8C: joinpoint → rgn.val + inline pre-jump code; jump → run.
 fn lower_joinpoint(body: &mut Body, op: OpId) {
-    let block = body.ops[op.index()].parent.expect("detached joinpoint");
+    let block = body.ops[op.index()].parent().expect("detached joinpoint");
     let label = body.ops[op.index()]
         .attr(AttrKey::Label)
         .and_then(|a| a.as_sym())
@@ -117,13 +117,8 @@ fn lower_joinpoint(body: &mut Body, op: OpId) {
         "pre-jump region must be a single block"
     );
     let pre = pre_blocks[0];
-    let moved = std::mem::take(&mut body.blocks[pre.index()].ops);
-    for &m in &moved {
-        body.ops[m.index()].parent = Some(block);
-    }
-    body.blocks[block.index()].ops.extend(moved.iter().copied());
-    body.blocks[pre.index()].parent = None;
-    body.regions[pre_region.index()].blocks.clear();
+    let moved = body.blocks[pre.index()].ops.clone();
+    body.merge_block_into(pre, block);
     body.detach_region(pre_region);
     body.erase_op(op);
     // Rewrite jumps to this label (they are all inside the spliced code or
@@ -148,8 +143,8 @@ fn rewrite_jumps(body: &mut Body, roots: &[OpId], label: Symbol, lbl: lssa_ir::i
                 .and_then(|a| a.as_sym())
                 == Some(label);
         if is_target {
-            let args = body.ops[op.index()].operands.clone();
-            let parent = body.ops[op.index()].parent.expect("detached jump");
+            let args = body.ops[op.index()].operands().clone();
+            let parent = body.ops[op.index()].parent().expect("detached jump");
             body.erase_op(op);
             let mut operands = vec![lbl];
             operands.extend(args);
@@ -261,7 +256,8 @@ def f(b, y) :=
         let f = m.func_by_name("f").unwrap();
         let body = f.body.as_ref().unwrap();
         let has_run_with_args = body.walk_ops().iter().any(|&op| {
-            body.ops[op.index()].opcode == Opcode::RgnRun && body.ops[op.index()].operands.len() > 1
+            body.ops[op.index()].opcode == Opcode::RgnRun
+                && body.ops[op.index()].operands().len() > 1
         });
         assert!(has_run_with_args, "{text}");
     }
@@ -313,7 +309,7 @@ def len(xs) :=
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
             for op in body.walk_ops() {
-                for (i, &v) in body.ops[op.index()].operands.iter().enumerate() {
+                for (i, &v) in body.ops[op.index()].operands().iter().enumerate() {
                     if body.value_type(v) == Type::Rgn {
                         let ok = matches!(
                             (body.ops[op.index()].opcode, i),

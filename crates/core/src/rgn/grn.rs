@@ -15,7 +15,7 @@ use lssa_ir::dom::DomTree;
 use lssa_ir::ids::{BlockId, OpId, RegionId, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
-use lssa_ir::pass::{for_each_function, Pass};
+use lssa_ir::pass::Pass;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -29,8 +29,12 @@ impl Pass for GrnPass {
         "global-region-numbering"
     }
 
-    fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+    fn function_local(&self) -> bool {
+        true
+    }
+
+    fn run_on_function(&self, _module: &Module, body: &mut Body) -> bool {
+        run_on_body(body)
     }
 }
 
@@ -52,12 +56,14 @@ pub fn run_on_body(body: &mut Body) -> bool {
 }
 
 fn grn_region(body: &mut Body, region: RegionId) -> bool {
-    let tree = DomTree::compute(body, region);
     let blocks: Vec<BlockId> = body.regions[region.index()].blocks.clone();
+    // A lone entry block is reachable and the only dominance question it
+    // raises is `block == block`: most regions need no dominator tree.
+    let tree = (blocks.len() > 1).then(|| DomTree::compute(body, region));
     let mut table: HashMap<u64, Vec<(OpId, ValueId, BlockId)>> = HashMap::new();
     let mut changed = false;
     for &block in &blocks {
-        if !tree.is_reachable(block) {
+        if tree.as_ref().is_some_and(|t| !t.is_reachable(block)) {
             continue;
         }
         let ops = body.blocks[block.index()].ops.clone();
@@ -74,7 +80,10 @@ fn grn_region(body: &mut Body, region: RegionId) -> bool {
                 if body.ops[prev_op.index()].dead {
                     continue;
                 }
-                let dominates = prev_block == block || tree.dominates(prev_block, block);
+                let dominates = prev_block == block
+                    || tree
+                        .as_ref()
+                        .is_some_and(|t| t.dominates(prev_block, block));
                 if dominates
                     && regions_structurally_equal(
                         body,
@@ -130,7 +139,7 @@ fn fingerprint_into(
         let data = &body.ops[op.index()];
         data.opcode.hash(hasher);
         data.attrs.hash(hasher);
-        for &o in &data.operands {
+        for &o in data.operands() {
             match numbering.get(&o) {
                 // Internal value: by position.
                 Some(&n) => n.hash(hasher),
@@ -190,13 +199,13 @@ fn regions_eq_rec(
         let d2 = &body.ops[y.index()];
         if d1.opcode != d2.opcode
             || d1.attrs != d2.attrs
-            || d1.operands.len() != d2.operands.len()
+            || d1.operands().len() != d2.operands().len()
             || d1.results.len() != d2.results.len()
             || d1.regions.len() != d2.regions.len()
         {
             return false;
         }
-        for (&p, &q) in d1.operands.iter().zip(&d2.operands) {
+        for (&p, &q) in d1.operands().iter().zip(d2.operands()) {
             let expected = map.get(&p).copied().unwrap_or(p);
             if expected != q {
                 return false;
@@ -291,7 +300,7 @@ mod tests {
         assert!(run_on_body(&mut body));
         // The select now sees the same region on both sides.
         let sel_op = body.defining_op(sel).unwrap();
-        let ops = &body.ops[sel_op.index()].operands;
+        let ops = body.ops[sel_op.index()].operands();
         assert_eq!(ops[1], ops[2], "both branches must be the merged region");
     }
 

@@ -36,7 +36,7 @@ impl RewritePattern for RunKnownRegion {
         if body.ops[op.index()].opcode != Opcode::RgnRun {
             return false;
         }
-        let rv = body.ops[op.index()].operands[0];
+        let rv = body.ops[op.index()].operands()[0];
         let Some(def) = body.defining_op(rv) else {
             return false;
         };
@@ -44,8 +44,14 @@ impl RewritePattern for RunKnownRegion {
             return false;
         }
         // Unique use: inlining must not duplicate code (the paper's
-        // deduplication guarantee for join points).
-        if body.users_of(rv).len() != 1 {
+        // deduplication guarantee for join points). The run is the only
+        // user when it holds every use of `%r`.
+        let uses_here = body.ops[op.index()]
+            .operands()
+            .iter()
+            .filter(|&&v| v == rv)
+            .count();
+        if body.use_count(rv) != uses_here {
             return false;
         }
         let region = body.ops[def.index()].regions[0];
@@ -53,25 +59,19 @@ impl RewritePattern for RunKnownRegion {
             return false;
         }
         let inner = body.regions[region.index()].blocks[0];
-        let args = body.ops[op.index()].operands[1..].to_vec();
+        let args = body.ops[op.index()].operands()[1..].to_vec();
         let params = body.blocks[inner.index()].args.clone();
         if params.len() != args.len() {
             return false; // malformed; let the verifier complain
         }
-        let parent = body.ops[op.index()].parent.expect("detached run");
+        let parent = body.ops[op.index()].parent().expect("detached run");
         // Map region parameters to run arguments.
         for (&p, &a) in params.iter().zip(&args) {
             body.replace_all_uses(p, a);
         }
         // Move the region's ops into the parent block, replacing the run.
         body.erase_op(op);
-        let moved = std::mem::take(&mut body.blocks[inner.index()].ops);
-        for &m in &moved {
-            body.ops[m.index()].parent = Some(parent);
-        }
-        body.blocks[parent.index()].ops.extend(moved);
-        body.blocks[inner.index()].parent = None;
-        body.regions[region.index()].blocks.clear();
+        body.merge_block_into(inner, parent);
         body.erase_op(def);
         true
     }
@@ -93,7 +93,7 @@ impl RewritePattern for FoldGetLabel {
         if body.ops[op.index()].opcode != Opcode::LpGetLabel {
             return false;
         }
-        let src = body.ops[op.index()].operands[0];
+        let src = body.ops[op.index()].operands()[0];
         let Some(def) = body.defining_op(src) else {
             return false;
         };
@@ -136,7 +136,7 @@ impl RewritePattern for FoldProject {
         if body.ops[op.index()].opcode != Opcode::LpProject {
             return false;
         }
-        let src = body.ops[op.index()].operands[0];
+        let src = body.ops[op.index()].operands()[0];
         let Some(def) = body.defining_op(src) else {
             return false;
         };
@@ -149,7 +149,7 @@ impl RewritePattern for FoldProject {
         else {
             return false;
         };
-        let Some(&field) = body.ops[def.index()].operands.get(idx as usize) else {
+        let Some(&field) = body.ops[def.index()].operands().get(idx as usize) else {
             return false;
         };
         let old = body.ops[op.index()].result().unwrap();
@@ -225,7 +225,7 @@ mod tests {
             .collect();
         assert_eq!(ops, vec![Opcode::LpInt, Opcode::LpReturn]);
         let ret = body.walk_ops()[1];
-        let v = body.ops[ret.index()].operands[0];
+        let v = body.ops[ret.index()].operands()[0];
         let def = body.defining_op(v).unwrap();
         assert_eq!(
             body.ops[def.index()].attr(AttrKey::Value).unwrap().as_int(),
@@ -322,7 +322,7 @@ mod tests {
             .into_iter()
             .find(|&op| body.ops[op.index()].opcode == Opcode::LpConstruct)
             .unwrap();
-        assert_eq!(body.ops[construct.index()].operands, vec![params[0]]);
+        assert_eq!(*body.ops[construct.index()].operands(), vec![params[0]]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use lssa_ir::builder::Builder;
 use lssa_ir::ids::{BlockId, OpId, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
-use lssa_ir::pass::{for_each_function, Pass};
+use lssa_ir::pass::Pass;
 use lssa_ir::rewrite::erase_trivially_dead;
 use lssa_ir::types::Type;
 use std::collections::HashMap;
@@ -34,12 +34,12 @@ pub fn lower_body(body: &mut Body) {
     loop {
         let run = find_root_run(body);
         let Some(run) = run else { break };
-        let operands = body.ops[run.index()].operands.clone();
+        let operands = body.ops[run.index()].operands().clone();
         let rv = operands[0];
         let args = operands[1..].to_vec();
         let arg_tys: Vec<Type> = args.iter().map(|&a| body.value_type(a)).collect();
         let target = target_for(body, rv, &arg_tys, &mut cache);
-        let parent = body.ops[run.index()].parent.expect("detached run");
+        let parent = body.ops[run.index()].parent().expect("detached run");
         body.erase_op(run);
         let mut b = Builder::at_end(body, parent);
         b.br(target, args);
@@ -48,7 +48,7 @@ pub fn lower_body(body: &mut Body) {
     for block in body.regions[ROOT_REGION.index()].blocks.clone() {
         if let Some(term) = body.terminator(block) {
             if body.ops[term.index()].opcode == Opcode::LpReturn {
-                let v = body.ops[term.index()].operands[0];
+                let v = body.ops[term.index()].operands()[0];
                 body.erase_op(term);
                 let mut b = Builder::at_end(body, block);
                 b.ret(v);
@@ -100,7 +100,7 @@ fn target_for(
         }
         Opcode::Select => {
             // (2) Conditional dispatch block.
-            let ops = body.ops[def.index()].operands.clone();
+            let ops = body.ops[def.index()].operands().clone();
             let (c, a, bb) = (ops[0], ops[1], ops[2]);
             let ta = target_for(body, a, arg_tys, cache);
             let tb = target_for(body, bb, arg_tys, cache);
@@ -112,7 +112,7 @@ fn target_for(
         }
         Opcode::SwitchVal => {
             // (2') Jump table.
-            let ops = body.ops[def.index()].operands.clone();
+            let ops = body.ops[def.index()].operands().clone();
             let cases = body.ops[def.index()]
                 .attr(AttrKey::Cases)
                 .and_then(|a| a.as_int_list())
@@ -152,11 +152,13 @@ impl Pass for RgnToCfgPass {
         "rgn-to-cfg"
     }
 
-    fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| {
-            lower_body(body);
-            true
-        })
+    fn function_local(&self) -> bool {
+        true
+    }
+
+    fn run_on_function(&self, _module: &Module, body: &mut Body) -> bool {
+        lower_body(body);
+        true
     }
 }
 
@@ -219,7 +221,7 @@ fn try_tco_block(
     if body.ops[term.index()].opcode != Opcode::Return {
         return false;
     }
-    let returned = body.ops[term.index()].operands[0];
+    let returned = body.ops[term.index()].operands()[0];
     // Scan backwards over rc ops to the producing call.
     let mut rc_ops = Vec::new();
     let mut idx = ops.len() - 1;
@@ -231,7 +233,7 @@ fn try_tco_block(
         let op = ops[idx];
         match body.ops[op.index()].opcode {
             Opcode::LpInc | Opcode::LpDec => {
-                if body.ops[op.index()].operands[0] == returned {
+                if body.ops[op.index()].operands()[0] == returned {
                     return false; // rc op touches the result
                 }
                 rc_ops.push(op);
@@ -244,7 +246,7 @@ fn try_tco_block(
         return false;
     }
     // The result must have no other uses.
-    if body.users_of(returned).len() != 1 {
+    if body.use_count(returned) != 1 {
         return false;
     }
     let callee = body.ops[call.index()]
@@ -258,10 +260,10 @@ fn try_tco_block(
     if !user_fns.contains(&callee) {
         return false;
     }
-    let args = body.ops[call.index()].operands.to_vec();
+    let args = body.ops[call.index()].operands().to_vec();
     // The rc ops must not release a value being passed to the callee.
     for &rc in &rc_ops {
-        if args.contains(&body.ops[rc.index()].operands[0]) {
+        if args.contains(&body.ops[rc.index()].operands()[0]) {
             return false;
         }
     }

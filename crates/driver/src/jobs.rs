@@ -424,9 +424,8 @@ mod tests {
     use super::*;
     use lssa_vm::{FaultPlan, JobLimits};
 
-    // Diverges at runtime; the unreachable `n < 0` exit keeps compilation
-    // terminating (the CFG lowering loops on base-case-free recursion).
-    const LOOP: &str = "def spin(n) := if n < 0 then 0 else spin(n + 1)\ndef main() := spin(0)";
+    // Diverges at runtime.
+    const LOOP: &str = "def spin(n) := spin(n + 1)\ndef main() := spin(0)";
     const OK: &str = "def main() := 6 * 7";
 
     fn spec_with(exec: ExecOptions) -> JobSpec {

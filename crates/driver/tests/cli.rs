@@ -33,6 +33,49 @@ fn run_prints_result() {
     std::fs::remove_file(path).ok();
 }
 
+/// Base-case-free recursion through single-block callees: the inliner used
+/// to re-inline these forever, hanging compilation. They must compile on
+/// every backend and stop at the step budget with exit code 3.
+#[test]
+fn base_case_free_recursion_compiles_and_exhausts_the_step_budget() {
+    let programs = [
+        (
+            "spin",
+            "def spin(n) := spin(n + 1)\ndef main() := spin(0)\n",
+        ),
+        (
+            "mutual",
+            "def f(n) := g(n + 1)\ndef g(n) := f(n * 2)\ndef main() := f(1)\n",
+        ),
+    ];
+    for (name, src) in programs {
+        let path = write_temp(name, src);
+        for backend in ["mlir", "leanc"] {
+            let mut child = lssa()
+                .arg("run")
+                .arg(&path)
+                .args(["--step-budget", "1000", "--backend", backend])
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::null())
+                .spawn()
+                .unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            let status = loop {
+                if let Some(status) = child.try_wait().unwrap() {
+                    break status;
+                }
+                if std::time::Instant::now() > deadline {
+                    child.kill().ok();
+                    panic!("{name} on {backend}: `lssa run` did not finish in 60 s");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            };
+            assert_eq!(status.code(), Some(3), "{name} on {backend}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn run_all_backends() {
     let path = write_temp("backends", PROGRAM);

@@ -34,7 +34,7 @@ impl BlockGraph {
         let succs_of = |b: BlockId| -> Vec<BlockId> {
             match body.terminator(b) {
                 Some(t) => body.ops[t.index()]
-                    .successors
+                    .successors()
                     .iter()
                     .map(|s| s.block)
                     .collect(),

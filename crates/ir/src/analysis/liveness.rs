@@ -93,8 +93,8 @@ fn op_uses_defs(body: &Body, op: OpId) -> (HashSet<ValueId>, HashSet<ValueId>) {
 
 fn collect_op(body: &Body, op: OpId, uses: &mut HashSet<ValueId>, defs: &mut HashSet<ValueId>) {
     let data = &body.ops[op.index()];
-    uses.extend(data.operands.iter().copied());
-    for s in &data.successors {
+    uses.extend(data.operands().iter().copied());
+    for s in data.successors() {
         uses.extend(s.args.iter().copied());
     }
     defs.extend(data.results.iter().copied());

@@ -134,12 +134,12 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
         match data.opcode {
             Opcode::Select | Opcode::SwitchVal => {
                 // Operand 0 is the selector; the rest are merged alternatives.
-                for &v in data.operands.iter().skip(1) {
+                for &v in data.operands().iter().skip(1) {
                     tainted.insert(v);
                 }
             }
             Opcode::LpConstruct | Opcode::LpPap | Opcode::LpPapExtend => {
-                for &v in data.operands.iter() {
+                for &v in data.operands().iter() {
                     containerized.insert(v);
                 }
             }
@@ -278,7 +278,7 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
             }
             Opcode::Unreachable => {} // path diverges; nothing to settle
             _ => {
-                for succ in term_data.successors.iter() {
+                for succ in term_data.successors().iter() {
                     let mut edge_state = state.clone();
                     // Edge arguments transfer ownership to the destination's
                     // block parameters.

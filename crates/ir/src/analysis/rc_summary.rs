@@ -47,7 +47,7 @@ pub fn classify(body: &Body, v: ValueId) -> RcClass {
     if body.value_type(v) != Type::Obj {
         return RcClass::Scalar;
     }
-    match body.values[v.index()].def {
+    match body.values[v.index()].def() {
         ValueDef::BlockArg(..) => RcClass::Owned,
         ValueDef::OpResult(op, _) => match body.ops[op.index()].opcode {
             Opcode::LpInt => RcClass::Scalar,
@@ -125,8 +125,8 @@ pub fn summarize_block(body: &Body, block: BlockId, externs: &HashSet<Symbol>) -
     for &op in &body.blocks[block.index()].ops {
         let data = &body.ops[op.index()];
         match data.opcode {
-            Opcode::LpInc => bump(&mut summary, data.operands[0], 1),
-            Opcode::LpDec => bump(&mut summary, data.operands[0], -1),
+            Opcode::LpInc => bump(&mut summary, data.operands()[0], 1),
+            Opcode::LpDec => bump(&mut summary, data.operands()[0], -1),
             Opcode::Call => {
                 let callee = data.attr(AttrKey::Callee).and_then(Attr::as_sym);
                 let is_extern = callee.is_some_and(|s| externs.contains(&s));
@@ -137,7 +137,7 @@ pub fn summarize_block(body: &Body, block: BlockId, externs: &HashSet<Symbol>) -
                 if mask != 0 && !is_extern {
                     summary.mask_on_internal.push(op);
                 }
-                for (i, &a) in data.operands.iter().enumerate() {
+                for (i, &a) in data.operands().iter().enumerate() {
                     let borrowed = is_extern && i < 64 && mask & (1 << i) != 0;
                     if borrowed {
                         // The callee borrows: no consumption, but the caller
@@ -154,12 +154,12 @@ pub fn summarize_block(body: &Body, block: BlockId, externs: &HashSet<Symbol>) -
                 }
             }
             Opcode::TailCall => {
-                for &a in &data.operands {
+                for &a in data.operands() {
                     bump(&mut summary, a, -1);
                 }
             }
             Opcode::LpConstruct | Opcode::LpPap | Opcode::LpPapExtend => {
-                for &a in &data.operands {
+                for &a in data.operands() {
                     bump(&mut summary, a, -1);
                 }
                 if let Some(r) = data.result() {
@@ -172,7 +172,7 @@ pub fn summarize_block(body: &Body, block: BlockId, externs: &HashSet<Symbol>) -
                 }
             }
             Opcode::Return | Opcode::LpReturn | Opcode::LpGlobalStore => {
-                bump(&mut summary, data.operands[0], -1);
+                bump(&mut summary, data.operands()[0], -1);
             }
             // Pure ops borrow their operands; br/cond_br/switch_br edge
             // arguments are applied per edge by the checker; unreachable

@@ -46,8 +46,8 @@ impl UseDefChains {
         let mut uses: HashMap<ValueId, Vec<UseSite>> = HashMap::new();
         for op in body.walk_ops() {
             let data = &body.ops[op.index()];
-            let Some(block) = data.parent else { continue };
-            for (i, &v) in data.operands.iter().enumerate() {
+            let Some(block) = data.parent() else { continue };
+            for (i, &v) in data.operands().iter().enumerate() {
                 uses.entry(v).or_default().push(UseSite {
                     op,
                     block,
@@ -56,7 +56,7 @@ impl UseDefChains {
                 });
             }
             let mut flat = 0u32;
-            for s in &data.successors {
+            for s in data.successors() {
                 for &v in &s.args {
                     uses.entry(v).or_default().push(UseSite {
                         op,
@@ -83,7 +83,7 @@ impl UseDefChains {
 
     /// The unique definition of `v` — SSA's reaching-definitions answer.
     pub fn def_of(body: &Body, v: ValueId) -> ValueDef {
-        body.values[v.index()].def
+        body.values[v.index()].def()
     }
 }
 

@@ -8,8 +8,18 @@
 //! Erased operations leave tombstones (the arena never shrinks); the
 //! printer, verifier, and walkers skip them, and the body maintains a
 //! lazily-compacted live-op index so use-scans ([`Body::replace_all_uses`],
-//! [`Body::use_counts`], [`Body::users_of`]) stop paying for tombstones
-//! shortly after erasure instead of rescanning the whole arena forever.
+//! [`Body::users_of`]) stop paying for tombstones shortly after erasure
+//! instead of rescanning the whole arena forever.
+//!
+//! The body also maintains a use count per value: how many operand and
+//! successor-argument slots of *attached* ops (`parent` set) name it. Every
+//! primitive that attaches, detaches, erases or rewires an op keeps the
+//! counts exact, which is why an op's operands, successors and parent are
+//! private to this module: edits go through [`Body`] methods
+//! ([`Body::set_operands`], [`Body::push_successor`],
+//! [`Body::merge_block_into`], ...). [`Body::use_count`] is then O(1), and
+//! dead-op erasure ([`crate::rewrite::erase_trivially_dead`]) never has to
+//! recount a whole function.
 //!
 //! Per-op lists (operands, results, successors, regions, attributes) use
 //! [`InlineVec`] storage: small lists — the overwhelmingly common case —
@@ -22,6 +32,7 @@ use crate::inline_vec::InlineVec;
 use crate::opcode::Opcode;
 use crate::types::Type;
 use std::collections::HashMap;
+use std::mem::take;
 
 /// Operand list storage: binary arithmetic plus most `lp` ops fit inline.
 pub type OperandList = InlineVec<ValueId, 4>;
@@ -74,36 +85,94 @@ pub enum ValueDef {
 }
 
 /// Data for an SSA value.
+///
+/// The definition site is stored packed — the op or block id, and the
+/// index with the kind in its top bit — so the value's use count fits in
+/// the 16 bytes a [`ValueDef`] field alone used to occupy.
 #[derive(Debug, Clone)]
 pub struct ValueData {
     /// The value's type.
     pub ty: Type,
+    def_id: u32,
+    def_index: u32,
+    /// See [`Body::use_count`].
+    uses: u32,
+}
+
+/// Marks a block argument in [`ValueData`]'s packed index.
+const BLOCK_ARG: u32 = 1 << 31;
+
+impl ValueData {
+    fn new(ty: Type, def: ValueDef) -> ValueData {
+        let (def_id, index, kind) = match def {
+            ValueDef::OpResult(op, i) => (op.0, i, 0),
+            ValueDef::BlockArg(block, i) => (block.0, i, BLOCK_ARG),
+        };
+        assert!(index < BLOCK_ARG, "value index {index} out of range");
+        ValueData {
+            ty,
+            def_id,
+            def_index: index | kind,
+            uses: 0,
+        }
+    }
+
     /// The definition site.
-    pub def: ValueDef,
+    pub fn def(&self) -> ValueDef {
+        let index = self.def_index & !BLOCK_ARG;
+        if self.def_index & BLOCK_ARG == 0 {
+            ValueDef::OpResult(OpId(self.def_id), index)
+        } else {
+            ValueDef::BlockArg(BlockId(self.def_id), index)
+        }
+    }
 }
 
 /// Data for an operation.
+///
+/// Operands, successors and the parent block feed the body's use counts,
+/// so they are read through accessors and written only by [`Body`].
 #[derive(Debug, Clone)]
 pub struct OpData {
     /// The operation code.
     pub opcode: Opcode,
-    /// SSA operands.
-    pub operands: OperandList,
+    operands: OperandList,
     /// SSA results.
     pub results: ResultList,
     /// Attached compile-time attributes.
     pub attrs: AttrList,
     /// Nested regions.
     pub regions: RegionList,
-    /// CFG successors (terminators only).
-    pub successors: SuccessorList,
-    /// Owning block (`None` while detached or erased).
-    pub parent: Option<BlockId>,
+    successors: SuccessorList,
+    parent: Option<BlockId>,
     /// Tombstone flag.
     pub dead: bool,
 }
 
 impl OpData {
+    /// SSA operands.
+    pub fn operands(&self) -> &OperandList {
+        &self.operands
+    }
+
+    /// CFG successors (terminators only).
+    pub fn successors(&self) -> &SuccessorList {
+        &self.successors
+    }
+
+    /// Owning block (`None` while detached or erased).
+    pub fn parent(&self) -> Option<BlockId> {
+        self.parent
+    }
+
+    /// Every value the op uses: operands, then successor arguments.
+    fn used_values(&self) -> impl Iterator<Item = ValueId> + '_ {
+        self.operands
+            .iter()
+            .chain(self.successors.iter().flat_map(|s| s.args.iter()))
+            .copied()
+    }
+
     /// Looks up an attribute by key.
     pub fn attr(&self, key: AttrKey) -> Option<&Attr> {
         self.attrs.iter().find(|(k, _)| *k == key).map(|(_, a)| a)
@@ -218,7 +287,7 @@ impl Body {
 
     fn new_value(&mut self, ty: Type, def: ValueDef) -> ValueId {
         let id = ValueId(self.values.len() as u32);
-        self.values.push(ValueData { ty, def });
+        self.values.push(ValueData::new(ty, def));
         id
     }
 
@@ -264,16 +333,20 @@ impl Body {
 
     /// Appends a detached op to the end of `block`.
     pub fn push_op(&mut self, block: BlockId, op: OpId) {
-        debug_assert!(self.ops[op.index()].parent.is_none(), "op already attached");
-        self.ops[op.index()].parent = Some(block);
+        self.attach(block, op);
         self.blocks[block.index()].ops.push(op);
     }
 
     /// Inserts a detached op into `block` at position `idx`.
     pub fn insert_op(&mut self, block: BlockId, idx: usize, op: OpId) {
+        self.attach(block, op);
+        self.blocks[block.index()].ops.insert(idx, op);
+    }
+
+    fn attach(&mut self, block: BlockId, op: OpId) {
         debug_assert!(self.ops[op.index()].parent.is_none(), "op already attached");
         self.ops[op.index()].parent = Some(block);
-        self.blocks[block.index()].ops.insert(idx, op);
+        self.add_uses(op);
     }
 
     /// Inserts a detached op immediately before `before` (which must be
@@ -293,32 +366,88 @@ impl Body {
             .expect("op not in its parent block")
     }
 
+    /// Moves every op of `src`, in order, to the end of `dst`, and removes
+    /// the emptied `src` from its region (leaving it detached).
+    pub fn merge_block_into(&mut self, src: BlockId, dst: BlockId) {
+        let moved = take(&mut self.blocks[src.index()].ops);
+        for &op in &moved {
+            self.ops[op.index()].parent = Some(dst);
+        }
+        self.blocks[dst.index()].ops.extend(moved);
+        self.detach_block(src);
+    }
+
+    fn detach_block(&mut self, block: BlockId) {
+        if let Some(region) = self.blocks[block.index()].parent.take() {
+            self.regions[region.index()].blocks.retain(|&b| b != block);
+        }
+    }
+
     // ---- erasure -----------------------------------------------------------
 
     /// Detaches `op` from its block without killing it.
     pub fn detach_op(&mut self, op: OpId) {
         if let Some(block) = self.ops[op.index()].parent.take() {
             self.blocks[block.index()].ops.retain(|&o| o != op);
+            self.remove_uses(op, &mut None);
         }
     }
 
     /// Erases `op` (and, transitively, its nested regions). The caller must
     /// ensure its results have no remaining uses.
     pub fn erase_op(&mut self, op: OpId) {
-        self.detach_op(op);
-        let regions = std::mem::take(&mut self.ops[op.index()].regions);
-        for r in regions {
-            self.erase_region_contents(r);
+        self.erase(op, &mut None);
+    }
+
+    /// [`Body::erase_op`], also appending to `freed` every value whose last
+    /// use was held by `op` or an op nested in its regions — the values
+    /// whose defining ops may have just become dead.
+    pub fn erase_op_freeing(&mut self, op: OpId, freed: &mut Vec<ValueId>) {
+        self.erase(op, &mut Some(freed));
+    }
+
+    fn erase(&mut self, op: OpId, freed: &mut Option<&mut Vec<ValueId>>) {
+        if let Some(block) = self.ops[op.index()].parent {
+            self.blocks[block.index()].ops.retain(|&o| o != op);
+        }
+        self.kill(op, freed);
+    }
+
+    /// Erases every op of `block` (and their nested regions) and removes the
+    /// block from its region.
+    pub fn erase_block(&mut self, block: BlockId) {
+        self.detach_block(block);
+        self.kill_block(block, &mut None);
+    }
+
+    /// Drops the uses of `op` (already out of its block's op list), kills
+    /// the contents of its regions, and tombstones it.
+    fn kill(&mut self, op: OpId, freed: &mut Option<&mut Vec<ValueId>>) {
+        if self.ops[op.index()].parent.take().is_some() {
+            self.remove_uses(op, freed);
+        }
+        for r in take(&mut self.ops[op.index()].regions) {
+            for b in take(&mut self.regions[r.index()].blocks) {
+                self.kill_block(b, freed);
+            }
         }
         self.tombstone(op);
     }
 
-    /// Marks `op` dead and clears its edges. The live index is compacted
-    /// lazily — eagerly removing each id would make bulk erasure quadratic
-    /// — so it may carry up to 50% tombstones, which scans skip via the
-    /// `dead` flag.
+    fn kill_block(&mut self, block: BlockId, freed: &mut Option<&mut Vec<ValueId>>) {
+        for op in take(&mut self.blocks[block.index()].ops) {
+            self.kill(op, freed);
+        }
+        self.blocks[block.index()].parent = None;
+    }
+
+    /// Marks a detached `op` dead and clears its edges. The live index is
+    /// compacted lazily — eagerly removing each id would make bulk erasure
+    /// quadratic — so it may carry up to 50% tombstones, which scans skip
+    /// via the `dead` flag.
     fn tombstone(&mut self, op: OpId) {
         let data = &mut self.ops[op.index()];
+        debug_assert!(data.parent.is_none(), "tombstoning an attached op");
         if data.dead {
             return;
         }
@@ -330,22 +459,6 @@ impl Body {
             let Body { live, ops, .. } = self;
             live.retain(|id| !ops[id.index()].dead);
             self.live_tombstones = 0;
-        }
-    }
-
-    fn erase_region_contents(&mut self, region: RegionId) {
-        let blocks = std::mem::take(&mut self.regions[region.index()].blocks);
-        for b in blocks {
-            let ops = std::mem::take(&mut self.blocks[b.index()].ops);
-            for op in ops {
-                self.ops[op.index()].parent = None;
-                let nested = std::mem::take(&mut self.ops[op.index()].regions);
-                for r in nested {
-                    self.erase_region_contents(r);
-                }
-                self.tombstone(op);
-            }
-            self.blocks[b.index()].parent = None;
         }
     }
 
@@ -367,9 +480,95 @@ impl Body {
 
     // ---- uses --------------------------------------------------------------
 
+    /// Counts the uses `op` holds (it has just been attached).
+    fn add_uses(&mut self, op: OpId) {
+        let Body { ops, values, .. } = self;
+        for v in ops[op.index()].used_values() {
+            values[v.index()].uses += 1;
+        }
+    }
+
+    /// Uncounts the uses `op` holds (it is being detached), recording in
+    /// `freed` the values left without any use.
+    fn remove_uses(&mut self, op: OpId, freed: &mut Option<&mut Vec<ValueId>>) {
+        let Body { ops, values, .. } = self;
+        for v in ops[op.index()].used_values() {
+            let count = &mut values[v.index()].uses;
+            *count -= 1;
+            if *count == 0 {
+                if let Some(freed) = freed {
+                    freed.push(v);
+                }
+            }
+        }
+    }
+
+    /// Applies `edit` to `op`'s use-carrying fields, keeping the use counts
+    /// exact whether or not the op is attached.
+    fn edit_uses(&mut self, op: OpId, edit: impl FnOnce(&mut OpData)) {
+        let attached = self.ops[op.index()].parent.is_some();
+        if attached {
+            self.remove_uses(op, &mut None);
+        }
+        edit(&mut self.ops[op.index()]);
+        if attached {
+            self.add_uses(op);
+        }
+    }
+
+    /// Replaces `op`'s operand list.
+    pub fn set_operands(&mut self, op: OpId, operands: impl Into<OperandList>) {
+        let operands = operands.into();
+        self.edit_uses(op, |data| data.operands = operands);
+    }
+
+    /// Appends a CFG successor to `op`.
+    pub fn push_successor(&mut self, op: OpId, successor: Successor) {
+        self.edit_uses(op, |data| data.successors.push(successor));
+    }
+
+    /// How many operand and successor-argument slots of attached ops name
+    /// `v`. O(1): the count is maintained, not recomputed.
+    pub fn use_count(&self, v: ValueId) -> usize {
+        self.values[v.index()].uses as usize
+    }
+
+    /// Recounts every value's uses from scratch and compares the result
+    /// with the maintained counts, naming the first value that differs.
+    /// A consistency check for tests and debug builds.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first mismatching value.
+    pub fn check_use_counts(&self) -> Result<(), String> {
+        let mut fresh = vec![0u32; self.values.len()];
+        for &id in &self.live {
+            let op = &self.ops[id.index()];
+            if op.dead || op.parent.is_none() {
+                continue;
+            }
+            for v in op.used_values() {
+                fresh[v.index()] += 1;
+            }
+        }
+        match fresh
+            .iter()
+            .zip(&self.values)
+            .position(|(&n, v)| n != v.uses)
+        {
+            None => Ok(()),
+            Some(i) => Err(format!(
+                "value %{i}: maintained use count {} but {} uses found",
+                self.values[i].uses, fresh[i]
+            )),
+        }
+    }
+
     /// Replaces every use of `old` with `new` (operands and successor
     /// arguments, across the whole body).
     pub fn replace_all_uses(&mut self, old: ValueId, new: ValueId) {
+        let moved = take(&mut self.values[old.index()].uses);
+        self.values[new.index()].uses += moved;
         for i in 0..self.live.len() {
             let op = &mut self.ops[self.live[i].index()];
             if op.dead {
@@ -390,29 +589,14 @@ impl Body {
         }
     }
 
-    /// Counts uses of every value (operand and successor-arg positions).
-    pub fn use_counts(&self) -> HashMap<ValueId, usize> {
-        let mut counts: HashMap<ValueId, usize> = HashMap::new();
-        for &id in &self.live {
-            let op = &self.ops[id.index()];
-            if op.dead || op.parent.is_none() {
-                continue;
-            }
-            for &o in &op.operands {
-                *counts.entry(o).or_default() += 1;
-            }
-            for s in &op.successors {
-                for &a in &s.args {
-                    *counts.entry(a).or_default() += 1;
-                }
-            }
-        }
-        counts
-    }
-
-    /// All attached (live) ops that use `v`, in arena order.
+    /// All attached (live) ops that use `v`, in arena order. Each user
+    /// appears once, however many of its slots name `v`; where a count of
+    /// slots is enough, [`Body::use_count`] answers without a scan.
     pub fn users_of(&self, v: ValueId) -> Vec<OpId> {
         let mut out = Vec::new();
+        if self.use_count(v) == 0 {
+            return out;
+        }
         for &id in &self.live {
             let op = &self.ops[id.index()];
             if op.dead || op.parent.is_none() {
@@ -434,7 +618,7 @@ impl Body {
 
     /// The op defining `v`, if it is an op result.
     pub fn defining_op(&self, v: ValueId) -> Option<OpId> {
-        match self.values[v.index()].def {
+        match self.values[v.index()].def() {
             ValueDef::OpResult(op, _) => Some(op),
             ValueDef::BlockArg(..) => None,
         }
@@ -445,24 +629,24 @@ impl Body {
     /// All live ops in the region tree, pre-order (op before its regions),
     /// blocks in region order.
     pub fn walk_ops(&self) -> Vec<OpId> {
-        let mut out = Vec::new();
-        self.walk_region(ROOT_REGION, &mut out);
-        out
+        self.walk_region_ops(ROOT_REGION)
     }
 
     /// All live ops inside `region` (recursively).
     pub fn walk_region_ops(&self, region: RegionId) -> Vec<OpId> {
         let mut out = Vec::new();
-        self.walk_region(region, &mut out);
+        self.visit_region_ops(region, &mut |op| out.push(op));
         out
     }
 
-    fn walk_region(&self, region: RegionId, out: &mut Vec<OpId>) {
+    /// Calls `f` on every live op inside `region` (recursively), in
+    /// [`Body::walk_region_ops`] order, without collecting them.
+    pub fn visit_region_ops(&self, region: RegionId, f: &mut impl FnMut(OpId)) {
         for &b in &self.regions[region.index()].blocks {
             for &op in &self.blocks[b.index()].ops {
-                out.push(op);
+                f(op);
                 for &r in &self.ops[op.index()].regions {
-                    self.walk_region(r, out);
+                    self.visit_region_ops(r, f);
                 }
             }
         }
@@ -475,7 +659,7 @@ impl Body {
 
     /// The block containing the definition of `v`.
     pub fn defining_block(&self, v: ValueId) -> Option<BlockId> {
-        match self.values[v.index()].def {
+        match self.values[v.index()].def() {
             ValueDef::OpResult(op, _) => self.ops[op.index()].parent,
             ValueDef::BlockArg(b, _) => Some(b),
         }
@@ -558,9 +742,7 @@ impl Body {
                 .map(|v| value_map.get(v).copied().unwrap_or(*v))
                 .collect();
             let block = block_map.get(&s.block).copied().unwrap_or(s.block);
-            self.ops[new_op.index()]
-                .successors
-                .push(Successor { block, args });
+            self.push_successor(new_op, Successor { block, args });
         }
         for &r in &data.regions {
             self.clone_region_into(r, new_op, value_map);
@@ -613,6 +795,19 @@ mod tests {
     }
 
     #[test]
+    fn value_data_stays_compact() {
+        // The use count rides in what used to be padding: every value
+        // costs what it did before counts were maintained.
+        assert!(std::mem::size_of::<ValueData>() <= 16);
+        let (body, params) = Body::new(&[Type::I64, Type::Obj]);
+        let entry = body.entry_block();
+        assert_eq!(
+            body.values[params[1].index()].def(),
+            ValueDef::BlockArg(entry, 1)
+        );
+    }
+
+    #[test]
     fn new_body_has_entry_with_params() {
         let (body, params) = Body::new(&[Type::Obj, Type::I64]);
         assert_eq!(params.len(), 2);
@@ -655,18 +850,115 @@ mod tests {
         let v2 = body.ops[c2.index()].result().unwrap();
         let b2 = body.new_block(ROOT_REGION, &[Type::I64]);
         let br = body.create_op(Opcode::Br, vec![], &[], vec![]);
-        body.ops[br.index()]
-            .successors
-            .push(Successor::with_args(b2, vec![v1]));
+        body.push_successor(br, Successor::with_args(b2, vec![v1]));
         body.push_op(e, br);
         let add = body.create_op(Opcode::AddI, vec![v1, v1], &[Type::I64], vec![]);
         body.push_op(b2, add);
         body.replace_all_uses(v1, v2);
         assert_eq!(body.ops[add.index()].operands, vec![v2, v2]);
         assert_eq!(body.ops[br.index()].successors[0].args, vec![v2]);
-        let counts = body.use_counts();
-        assert_eq!(counts.get(&v1), None);
-        assert_eq!(counts[&v2], 3);
+        assert_eq!(body.use_count(v1), 0);
+        assert_eq!(body.use_count(v2), 3);
+        body.check_use_counts().unwrap();
+    }
+
+    /// A `const` whose result is used by an `addi` (twice) and a `br`.
+    fn counted_body() -> (Body, ValueId, OpId, OpId) {
+        let (mut body, _) = Body::new(&[]);
+        let e = body.entry_block();
+        let c = const_op(&mut body, 1);
+        body.push_op(e, c);
+        let v = body.ops[c.index()].result().unwrap();
+        let add = body.create_op(Opcode::AddI, vec![v, v], &[Type::I64], vec![]);
+        body.push_op(e, add);
+        let b2 = body.new_block(ROOT_REGION, &[Type::I64]);
+        let br = body.create_op(Opcode::Br, vec![], &[], vec![]);
+        body.push_op(e, br);
+        body.push_successor(br, Successor::with_args(b2, vec![v]));
+        (body, v, add, br)
+    }
+
+    #[test]
+    fn use_counts_track_attach_detach_and_erase() {
+        let (mut body, v, add, br) = counted_body();
+        assert_eq!(body.use_count(v), 3);
+        // Detached ops hold no counted uses; re-attaching restores them.
+        body.detach_op(add);
+        assert_eq!(body.use_count(v), 1);
+        let e = body.entry_block();
+        body.insert_op(e, 1, add);
+        assert_eq!(body.use_count(v), 3);
+        // A detached op's edits are not counted until it is attached.
+        let loose = body.create_op(Opcode::MulI, vec![v, v], &[Type::I64], vec![]);
+        assert_eq!(body.use_count(v), 3);
+        body.insert_op_before(br, loose);
+        assert_eq!(body.use_count(v), 5);
+        body.erase_op(loose);
+        body.erase_op(br);
+        assert_eq!(body.use_count(v), 2);
+        let mut freed = Vec::new();
+        body.erase_op_freeing(add, &mut freed);
+        assert_eq!(freed, vec![v]);
+        assert_eq!(body.use_count(v), 0);
+        body.check_use_counts().unwrap();
+    }
+
+    #[test]
+    fn use_counts_track_operand_and_successor_edits() {
+        let (mut body, v, add, br) = counted_body();
+        let p = body.add_block_arg(body.entry_block(), Type::I64);
+        assert_eq!(body.use_count(p), 0);
+        body.set_operands(add, vec![v, p]);
+        assert_eq!((body.use_count(v), body.use_count(p)), (2, 1));
+        let b3 = body.new_block(ROOT_REGION, &[]);
+        body.push_successor(br, Successor::with_args(b3, vec![p, p]));
+        assert_eq!(body.use_count(p), 3);
+        body.check_use_counts().unwrap();
+    }
+
+    #[test]
+    fn use_counts_track_block_moves_and_erasure() {
+        let (mut body, v, _, br) = counted_body();
+        let b2 = body.ops[br.index()].successors[0].block;
+        let arg = body.blocks[b2.index()].args[0];
+        let user = body.create_op(Opcode::AddI, vec![v, arg], &[Type::I64], vec![]);
+        body.push_op(b2, user);
+        assert_eq!((body.use_count(v), body.use_count(arg)), (4, 1));
+        // Moving ops between blocks keeps them attached: counts unchanged.
+        let b3 = body.new_block(ROOT_REGION, &[]);
+        body.merge_block_into(b2, b3);
+        assert_eq!(body.blocks[b2.index()].parent, None);
+        assert_eq!((body.use_count(v), body.use_count(arg)), (4, 1));
+        body.erase_block(b3);
+        assert_eq!((body.use_count(v), body.use_count(arg)), (3, 0));
+        assert!(!body.regions[ROOT_REGION.index()].blocks.contains(&b3));
+        body.check_use_counts().unwrap();
+    }
+
+    #[test]
+    fn use_counts_track_nested_regions_and_clones() {
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let x = params[0];
+        let e = body.entry_block();
+        let holder = body.create_op(Opcode::RgnVal, vec![], &[Type::Rgn], vec![]);
+        let r = body.new_region(holder);
+        let bl = body.new_block(r, &[]);
+        let inner = body.create_op(Opcode::AddI, vec![x, x], &[Type::I64], vec![]);
+        body.push_op(bl, inner);
+        body.push_op(e, holder);
+        assert_eq!(body.use_count(x), 2);
+        let holder2 = body.create_op(Opcode::RgnVal, vec![], &[Type::Rgn], vec![]);
+        body.push_op(e, holder2);
+        body.clone_region_into(r, holder2, &mut HashMap::new());
+        assert_eq!(body.use_count(x), 4);
+        // Erasing the holder drops the uses of everything nested in it.
+        let mut freed = Vec::new();
+        body.erase_op_freeing(holder, &mut freed);
+        assert!(freed.is_empty());
+        assert_eq!(body.use_count(x), 2);
+        body.erase_op_freeing(holder2, &mut freed);
+        assert_eq!(freed, vec![x]);
+        body.check_use_counts().unwrap();
     }
 
     #[test]

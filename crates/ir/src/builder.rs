@@ -167,9 +167,8 @@ impl<'a> Builder<'a> {
     /// `cf.br`.
     pub fn br(&mut self, dest: BlockId, args: Vec<ValueId>) -> OpId {
         let op = self.push(Opcode::Br, vec![], &[], vec![]);
-        self.body.ops[op.index()]
-            .successors
-            .push(Successor::with_args(dest, args));
+        self.body
+            .push_successor(op, Successor::with_args(dest, args));
         op
     }
 
@@ -181,9 +180,10 @@ impl<'a> Builder<'a> {
         else_dest: (BlockId, Vec<ValueId>),
     ) -> OpId {
         let op = self.push(Opcode::CondBr, vec![cond], &[], vec![]);
-        let succ = &mut self.body.ops[op.index()].successors;
-        succ.push(Successor::with_args(then_dest.0, then_dest.1));
-        succ.push(Successor::with_args(else_dest.0, else_dest.1));
+        self.body
+            .push_successor(op, Successor::with_args(then_dest.0, then_dest.1));
+        self.body
+            .push_successor(op, Successor::with_args(else_dest.0, else_dest.1));
         op
     }
 
@@ -203,11 +203,11 @@ impl<'a> Builder<'a> {
             &[],
             vec![(AttrKey::Cases, Attr::IntList(cases.into()))],
         );
-        let succ = &mut self.body.ops[op.index()].successors;
         for (b, args) in targets {
-            succ.push(Successor::with_args(b, args));
+            self.body.push_successor(op, Successor::with_args(b, args));
         }
-        succ.push(Successor::with_args(default.0, default.1));
+        self.body
+            .push_successor(op, Successor::with_args(default.0, default.1));
         op
     }
 
@@ -495,6 +495,6 @@ mod tests {
         let v = b.switch_val(params[0], vec![0, 1], vec![params[1], params[2]], params[3]);
         assert_eq!(body.value_type(v), Type::Rgn);
         let op = body.defining_op(v).unwrap();
-        assert_eq!(body.ops[op.index()].operands.len(), 4);
+        assert_eq!(body.ops[op.index()].operands().len(), 4);
     }
 }

@@ -29,7 +29,7 @@ impl DomTree {
         let succs = |b: BlockId| -> Vec<BlockId> {
             match body.terminator(b) {
                 Some(t) => body.ops[t.index()]
-                    .successors
+                    .successors()
                     .iter()
                     .map(|s| s.block)
                     .collect(),
@@ -174,7 +174,7 @@ impl DomInfo {
         let def_region = body.block_region(def_block);
         // Hoist the user to the ancestor at the def's region level.
         let mut user_op = user;
-        let mut user_block = match body.ops[user.index()].parent {
+        let mut user_block = match body.ops[user.index()].parent() {
             Some(b) => b,
             None => return false,
         };
@@ -186,7 +186,7 @@ impl DomInfo {
             match body.regions[user_region.index()].parent {
                 Some(parent_op) => {
                     user_op = parent_op;
-                    user_block = match body.ops[parent_op.index()].parent {
+                    user_block = match body.ops[parent_op.index()].parent() {
                         Some(b) => b,
                         None => return false,
                     };
@@ -195,7 +195,7 @@ impl DomInfo {
             }
         }
         if user_block == def_block {
-            match body.values[v.index()].def {
+            match body.values[v.index()].def() {
                 ValueDef::BlockArg(..) => true,
                 ValueDef::OpResult(def_op, _) => {
                     if def_op == user_op {

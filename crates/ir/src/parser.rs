@@ -811,7 +811,7 @@ impl Binder<'_> {
                             .ok_or_else(|| format!("use of undefined value %{n}"))
                     })
                     .collect();
-                body.ops[op.index()].operands = operands?.into();
+                body.set_operands(op, operands?);
                 for (lbl, args) in &pop.succs {
                     let block = *self
                         .blocks
@@ -826,9 +826,7 @@ impl Binder<'_> {
                                 .ok_or_else(|| format!("use of undefined value %{n}"))
                         })
                         .collect();
-                    body.ops[op.index()]
-                        .successors
-                        .push(Successor::with_args(block, args?));
+                    body.push_successor(op, Successor::with_args(block, args?));
                 }
                 body.push_op(block_ids[bi], op);
                 for nested in &pop.regions {

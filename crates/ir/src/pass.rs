@@ -15,18 +15,25 @@
 //! - [`PassManager::run_to_fixpoint`] — repeats the whole pipeline until a
 //!   full sweep reports no change (or the iteration bound is hit); this
 //!   replaces hand-rolled `for _ in 0..k { pm.run(..) }` loops and records
-//!   whether the pipeline actually converged.
-//! - [`PipelineRunReport`] — aggregated per-pass statistics for one
-//!   pipeline execution, renderable as a table
+//!   whether the pipeline actually converged. The manager drives the
+//!   function loop of *function-local* passes ([`Pass::function_local`])
+//!   itself, so from the second sweep on it revisits only the functions the
+//!   previous sweep changed: a function every pass left alone is already at
+//!   the fixpoint.
+//! - [`PipelineRunReport`] — aggregated statistics for one pipeline
+//!   execution, one row per pipeline entry, renderable as a table
 //!   ([`PipelineRunReport::render_table`]) — the payload behind the `lssa`
 //!   CLI's `--pass-stats` and the `ablation` binary's statistics output.
 //! - A dump hook ([`PassManager::dump_after_each`]) invoked with the pass
 //!   path and the module after every pass — the engine behind
 //!   `--print-ir-after-all`-style debugging.
 //!
-//! Function-scoped passes use [`for_each_function`], which temporarily
-//! detaches a function's body so the pass can read module-level context
-//! (callee signatures, globals) while mutating the body.
+//! A function is transformed with its body temporarily detached from the
+//! module (by the manager, or by [`for_each_function`] in module-level
+//! passes), so a pass can read module-level context (callee signatures,
+//! globals) while mutating the body. In debug builds the manager checks
+//! after every pass that every body still has exact use counts
+//! ([`Body::check_use_counts`]).
 
 use crate::analysis::rc_check;
 use crate::body::Body;
@@ -39,8 +46,28 @@ pub trait Pass {
     /// Pass name (diagnostics, pipeline dumps, statistics rows).
     fn name(&self) -> &'static str;
 
-    /// Runs the raw transform; returns whether anything changed.
-    fn run_on(&self, module: &mut Module) -> bool;
+    /// Whether the pass is function-local: it transforms each function body
+    /// on its own through [`Pass::run_on_function`], reading no other
+    /// function's body, so rerunning it on a body it left unchanged changes
+    /// nothing. [`PassManager`] relies on this to skip such bodies in later
+    /// fixpoint sweeps. The default is `false`: a module-level pass that
+    /// implements [`Pass::run_on`] itself.
+    fn function_local(&self) -> bool {
+        false
+    }
+
+    /// Transforms one function body (detached from `module` meanwhile);
+    /// returns whether it changed. Only called on function-local passes.
+    fn run_on_function(&self, module: &Module, body: &mut Body) -> bool {
+        let _ = (module, body);
+        unreachable!("`{}` is not a function-local pass", self.name())
+    }
+
+    /// Runs the raw transform on the whole module; returns whether anything
+    /// changed. The default runs [`Pass::run_on_function`] on every body.
+    fn run_on(&self, module: &mut Module) -> bool {
+        for_each_function(module, |m, body| self.run_on_function(m, body))
+    }
 
     /// Runs the pass with instrumentation: live-op counts before and after,
     /// wall time, and the change flag, packaged as [`PassStatistics`].
@@ -151,7 +178,8 @@ pub struct PipelineRunReport {
     pub converged: bool,
     /// Whether any pass changed the IR.
     pub changed: bool,
-    /// Per-pass statistics, in first-execution order, merged across sweeps.
+    /// One row per pipeline entry, in pipeline order ([`PassManager::pipeline`]),
+    /// each merged across sweeps. A pass listed twice gets two rows.
     pub passes: Vec<PassStatistics>,
     /// Total wall time of the run.
     pub duration: Duration,
@@ -159,7 +187,8 @@ pub struct PipelineRunReport {
 
 impl PipelineRunReport {
     /// Folds another run of the *same pipeline shape* into this report
-    /// (used to aggregate statistics across many compilations).
+    /// (used to aggregate statistics across many compilations). Rows are
+    /// matched by position; a row whose pass differs is appended instead.
     pub fn merge(&mut self, other: &PipelineRunReport) {
         self.invocations += other.invocations;
         self.fixpoint |= other.fixpoint;
@@ -167,10 +196,10 @@ impl PipelineRunReport {
         self.converged &= other.converged;
         self.changed |= other.changed;
         self.duration += other.duration;
-        for s in &other.passes {
-            match self.passes.iter_mut().find(|e| e.pass == s.pass) {
-                Some(existing) => existing.absorb_parallel(s),
-                None => self.passes.push(s.clone()),
+        for (i, s) in other.passes.iter().enumerate() {
+            match self.passes.get_mut(i) {
+                Some(row) if row.pass == s.pass => row.absorb_parallel(s),
+                _ => self.passes.push(s.clone()),
             }
         }
     }
@@ -229,13 +258,6 @@ impl PipelineRunReport {
             );
         }
         out
-    }
-}
-
-fn merge_stat(stats: &mut Vec<PassStatistics>, s: PassStatistics) {
-    match stats.iter_mut().find(|e| e.pass == s.pass) {
-        Some(existing) => existing.absorb(&s),
-        None => stats.push(s),
     }
 }
 
@@ -408,28 +430,22 @@ impl PassManager {
     pub fn run_to_fixpoint(&self, module: &mut Module, max_iters: usize) -> PipelineRunReport {
         assert!(max_iters >= 1, "a pipeline runs at least once");
         let start = Instant::now();
-        let mut passes = Vec::new();
+        let mut state = RunState::new(module);
         let mut iterations = 0;
         let mut changed = false;
         let mut converged = false;
-        // Op count carried across passes and sweeps: pass N's ops-after is
-        // pass N+1's ops-before, so each pass costs one counting walk, not
-        // two.
-        let mut op_count = module.live_op_count();
+        let mut scope = vec![true; module.funcs.len()];
         while iterations < max_iters {
             iterations += 1;
-            let sweep = self.run_sweep(
-                module,
-                "",
-                self.dump_after.as_deref(),
-                &mut passes,
-                &mut op_count,
-            );
+            state.row = 0;
+            let (sweep, dirty) =
+                self.run_sweep(module, "", self.dump_after.as_deref(), &mut state, &scope);
             changed |= sweep;
             if !sweep {
                 converged = true;
                 break;
             }
+            scope = dirty;
         }
         PipelineRunReport {
             pipeline: self.name.clone(),
@@ -438,39 +454,68 @@ impl PassManager {
             iterations,
             converged,
             changed,
-            passes,
+            passes: state.rows,
             duration: start.elapsed(),
         }
     }
 
-    /// One sweep over the entries. Nested pipelines run to their own
-    /// fixpoint bound. `op_count` is the module's current live-op count on
-    /// entry and is updated to the count after the sweep. Returns whether
-    /// anything changed.
+    /// One sweep over the entries, visiting with function-local passes only
+    /// the functions in `scope` (a flag per `module.funcs` index). Nested
+    /// pipelines run to their own fixpoint bound. Returns whether anything
+    /// changed, and which functions did (all of them once a module-level
+    /// pass reports a change).
     fn run_sweep(
         &self,
         module: &mut Module,
         prefix: &str,
         hook: Option<DumpHookRef<'_>>,
-        stats: &mut Vec<PassStatistics>,
-        op_count: &mut usize,
-    ) -> bool {
+        state: &mut RunState,
+        scope: &[bool],
+    ) -> (bool, Vec<bool>) {
         let mut changed = false;
+        let mut dirty = vec![false; module.funcs.len()];
         for entry in &self.entries {
             match entry {
                 Entry::Pass(pass) => {
                     let path = join_path(prefix, pass.name());
-                    let ops_before = *op_count;
+                    let ops_before = state.ops;
                     let start = Instant::now();
-                    let pass_changed = pass.run_on(module);
+                    let (pass_changed, touched) = if pass.function_local() {
+                        let mut touched = Vec::new();
+                        for i in (0..module.funcs.len()).filter(|&i| scope[i]) {
+                            let Some(mut body) = module.funcs[i].body.take() else {
+                                continue;
+                            };
+                            if pass.run_on_function(module, &mut body) {
+                                touched.push(i);
+                            }
+                            module.funcs[i].body = Some(body);
+                        }
+                        (!touched.is_empty(), touched)
+                    } else if pass.run_on(module) {
+                        assert_eq!(
+                            module.funcs.len(),
+                            dirty.len(),
+                            "pass `{path}` added or removed functions"
+                        );
+                        (true, (0..module.funcs.len()).collect())
+                    } else {
+                        (false, Vec::new())
+                    };
                     let duration = start.elapsed();
-                    *op_count = module.live_op_count();
+                    for &i in &touched {
+                        dirty[i] = true;
+                        state.recount(module, i);
+                    }
+                    if cfg!(debug_assertions) {
+                        check_invariants(module, &path, state);
+                    }
                     let mut s = PassStatistics {
                         pass: path.clone(),
                         runs: 1,
                         changed: pass_changed,
                         ops_before,
-                        ops_after: *op_count,
+                        ops_after: state.ops,
                         duration,
                         extra: pass.stat_counters(),
                     };
@@ -484,7 +529,7 @@ impl PassManager {
                         }
                     }
                     changed |= s.changed;
-                    merge_stat(stats, s);
+                    state.record(s);
                     if let Some(h) = hook {
                         h(&path, module);
                     }
@@ -496,20 +541,91 @@ impl PassManager {
                     let path = join_path(prefix, &nested.name);
                     // A nested pipeline prefers its own dump hook.
                     let hook = nested.dump_after.as_deref().or(hook);
+                    let first_row = state.row;
+                    let mut nested_scope = scope.to_vec();
                     let mut iters = 0;
                     loop {
                         iters += 1;
-                        let sweep = nested.run_sweep(module, &path, hook, stats, op_count);
+                        state.row = first_row;
+                        let (sweep, nested_dirty) =
+                            nested.run_sweep(module, &path, hook, state, &nested_scope);
                         changed |= sweep;
+                        for (d, &n) in dirty.iter_mut().zip(&nested_dirty) {
+                            *d |= n;
+                        }
                         if !sweep || iters >= nested.max_iters {
                             break;
                         }
+                        nested_scope = nested_dirty;
                     }
                 }
             }
         }
-        changed
+        (changed, dirty)
     }
+}
+
+/// What one pipeline execution accumulates across its sweeps.
+struct RunState {
+    /// One statistics row per pipeline entry, in pipeline order.
+    rows: Vec<PassStatistics>,
+    /// The row of the entry about to run.
+    row: usize,
+    /// Live-op count of each function (0 without a body), kept current
+    /// pass by pass: only functions a pass changed are recounted.
+    func_ops: Vec<usize>,
+    /// Their sum: the module's live-op count.
+    ops: usize,
+}
+
+impl RunState {
+    fn new(module: &Module) -> RunState {
+        let func_ops: Vec<usize> = module.funcs.iter().map(func_op_count).collect();
+        RunState {
+            rows: Vec::new(),
+            row: 0,
+            ops: func_ops.iter().sum(),
+            func_ops,
+        }
+    }
+
+    fn recount(&mut self, module: &Module, func: usize) {
+        let count = func_op_count(&module.funcs[func]);
+        self.ops = self.ops - self.func_ops[func] + count;
+        self.func_ops[func] = count;
+    }
+
+    /// Folds one execution into the current entry's row and moves on.
+    fn record(&mut self, s: PassStatistics) {
+        match self.rows.get_mut(self.row) {
+            Some(row) => row.absorb(&s),
+            None => self.rows.push(s),
+        }
+        self.row += 1;
+    }
+}
+
+fn func_op_count(f: &crate::module::Function) -> usize {
+    f.body.as_ref().map_or(0, Body::live_op_count)
+}
+
+/// Debug-build check after pass `path`: every body keeps exact use
+/// counts, and the carried op count matches a fresh count (a pass that
+/// reports "unchanged" must not have changed anything).
+fn check_invariants(module: &Module, path: &str, state: &RunState) {
+    for f in &module.funcs {
+        if let Some(body) = &f.body {
+            if let Err(msg) = body.check_use_counts() {
+                let name = module.name_of(f.name);
+                panic!("use counts out of date in `{name}` after pass `{path}`: {msg}");
+            }
+        }
+    }
+    assert_eq!(
+        state.ops,
+        module.live_op_count(),
+        "pass `{path}` changed the op count without reporting a change"
+    );
 }
 
 fn join_path(prefix: &str, name: &str) -> String {
@@ -667,6 +783,103 @@ mod tests {
         assert!(table.contains("pipeline `tbl`"), "{table}");
         assert!(table.contains("counting"), "{table}");
         assert!(table.contains("ops-in"), "{table}");
+    }
+
+    /// Appends an unused constant to every function: the op count grows.
+    struct Grow;
+    impl Pass for Grow {
+        fn name(&self) -> &'static str {
+            "grow"
+        }
+        fn run_on(&self, m: &mut Module) -> bool {
+            for_each_function(m, |_, body| {
+                let entry = body.entry_block();
+                let c = body.create_op(crate::opcode::Opcode::ConstI, vec![], &[Type::I64], vec![]);
+                body.insert_op(entry, 0, c);
+                true
+            })
+        }
+    }
+
+    #[test]
+    fn repeated_entries_get_their_own_rows() {
+        use crate::passes::DcePass;
+        let mut m = tiny_module();
+        let pm = PassManager::named("rows")
+            .add(DcePass)
+            .add(Grow)
+            .add(DcePass);
+        let report = pm.run(&mut m);
+        let rows: Vec<(&str, usize, usize, bool)> = report
+            .passes
+            .iter()
+            .map(|s| (s.pass.as_str(), s.ops_before, s.ops_after, s.changed))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("dce", 2, 2, false),
+                ("grow", 2, 3, true),
+                ("dce", 3, 2, true)
+            ]
+        );
+        // Merging a second compilation keeps the rows apart, position by
+        // position.
+        let mut merged = report.clone();
+        merged.merge(&pm.run(&mut tiny_module()));
+        let sums: Vec<(usize, usize, usize)> = merged
+            .passes
+            .iter()
+            .map(|s| (s.runs, s.ops_before, s.ops_after))
+            .collect();
+        assert_eq!(sums, vec![(2, 4, 4), (2, 4, 6), (2, 6, 4)]);
+    }
+
+    /// Function-local: erases one unused constant per run, recording which
+    /// function it visited.
+    struct EraseOneConst(Rc<std::cell::RefCell<Vec<usize>>>);
+    impl Pass for EraseOneConst {
+        fn name(&self) -> &'static str {
+            "erase-one-const"
+        }
+        fn function_local(&self) -> bool {
+            true
+        }
+        fn run_on_function(&self, _m: &Module, body: &mut Body) -> bool {
+            self.0.borrow_mut().push(body.live_op_count());
+            let dead = body.walk_ops().into_iter().find(|&op| {
+                let r = body.ops[op.index()].result();
+                r.is_some_and(|r| body.use_count(r) == 0)
+            });
+            dead.inspect(|&op| body.erase_op(op)).is_some()
+        }
+    }
+
+    #[test]
+    fn later_sweeps_revisit_only_changed_functions() {
+        // `g` carries three unused constants, `f` none: every sweep after
+        // the first visits `g` alone, and the sweep count is the same as
+        // re-running the whole module until nothing changes.
+        let mut m = tiny_module();
+        let (mut body, _) = Body::new(&[]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        for k in 0..3 {
+            b.const_i(k, Type::I64);
+        }
+        let c = b.const_i(9, Type::I64);
+        b.ret(c);
+        m.add_function("g", Signature::new(vec![], Type::I64), body);
+        let visits = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let pm = PassManager::named("fp").add(EraseOneConst(visits.clone()));
+        let report = pm.run_to_fixpoint(&mut m, 10);
+        assert_eq!(report.iterations, 4);
+        assert!(report.converged);
+        // Visits logged by op count: `f` (2 ops) once, then `g` shrinking
+        // from 5 to 2.
+        assert_eq!(*visits.borrow(), vec![2, 5, 4, 3, 2]);
+        assert_eq!(report.passes[0].ops_before, 7);
+        assert_eq!(report.passes[0].ops_after, 4);
     }
 
     #[test]

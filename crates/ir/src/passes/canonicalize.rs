@@ -12,7 +12,7 @@ use crate::body::Body;
 use crate::ids::{OpId, ValueId};
 use crate::module::Module;
 use crate::opcode::Opcode;
-use crate::pass::{for_each_function, Pass};
+use crate::pass::Pass;
 use crate::passes::const_int_value;
 use crate::rewrite::{apply_patterns_greedily, RewriteCtx, RewritePattern};
 use crate::types::Type;
@@ -34,7 +34,7 @@ pub fn canonicalization_patterns() -> Vec<Box<dyn RewritePattern>> {
 /// The canonicalization pass. Extra pattern sets (e.g. the `rgn` dialect's)
 /// can be appended via the factory.
 pub struct CanonicalizePass {
-    extra: fn() -> Vec<Box<dyn RewritePattern>>,
+    patterns: Vec<Box<dyn RewritePattern>>,
 }
 
 impl std::fmt::Debug for CanonicalizePass {
@@ -52,12 +52,14 @@ impl Default for CanonicalizePass {
 impl CanonicalizePass {
     /// Standard pattern set only.
     pub fn new() -> CanonicalizePass {
-        CanonicalizePass { extra: Vec::new }
+        CanonicalizePass::with_extra(Vec::new)
     }
 
     /// Standard patterns plus a dialect-specific set.
     pub fn with_extra(extra: fn() -> Vec<Box<dyn RewritePattern>>) -> CanonicalizePass {
-        CanonicalizePass { extra }
+        let mut patterns = canonicalization_patterns();
+        patterns.extend(extra());
+        CanonicalizePass { patterns }
     }
 }
 
@@ -66,13 +68,12 @@ impl Pass for CanonicalizePass {
         "canonicalize"
     }
 
-    fn run_on(&self, module: &mut Module) -> bool {
-        let mut patterns = canonicalization_patterns();
-        patterns.extend((self.extra)());
-        for_each_function(module, |m, body| {
-            let ctx = RewriteCtx { module: m };
-            apply_patterns_greedily(body, &ctx, &patterns)
-        })
+    fn function_local(&self) -> bool {
+        true
+    }
+
+    fn run_on_function(&self, module: &Module, body: &mut Body) -> bool {
+        apply_patterns_greedily(body, &RewriteCtx { module }, &self.patterns)
     }
 }
 
@@ -117,7 +118,7 @@ impl RewritePattern for FoldBinaryArith {
             Opcode::XorI => |a, b| Some(a ^ b),
             _ => return false,
         };
-        let [a, b] = body.ops[op.index()].operands[..] else {
+        let [a, b] = body.ops[op.index()].operands()[..] else {
             return false;
         };
         let (Some(va), Some(vb)) = (const_int_value(body, a), const_int_value(body, b)) else {
@@ -142,7 +143,7 @@ impl RewritePattern for FoldCmp {
         if body.ops[op.index()].opcode != Opcode::CmpI {
             return false;
         }
-        let [a, b] = body.ops[op.index()].operands[..] else {
+        let [a, b] = body.ops[op.index()].operands()[..] else {
             return false;
         };
         let Some(pred) = body.ops[op.index()]
@@ -179,7 +180,14 @@ impl RewritePattern for ArithIdentity {
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
         let opcode = body.ops[op.index()].opcode;
-        let [a, b] = body.ops[op.index()].operands[..] else {
+        // Cheap opcode test first: the operand constants are loads.
+        if !matches!(
+            opcode,
+            Opcode::AddI | Opcode::OrI | Opcode::XorI | Opcode::SubI | Opcode::MulI | Opcode::AndI
+        ) {
+            return false;
+        }
+        let [a, b] = body.ops[op.index()].operands()[..] else {
             return false;
         };
         let ca = const_int_value(body, a);
@@ -252,7 +260,7 @@ impl RewritePattern for FoldSelect {
         if body.ops[op.index()].opcode != Opcode::Select {
             return false;
         }
-        let [c, a, b] = body.ops[op.index()].operands[..] else {
+        let [c, a, b] = body.ops[op.index()].operands()[..] else {
             return false;
         };
         if a == b {
@@ -286,7 +294,7 @@ impl RewritePattern for FoldSwitchVal {
         if body.ops[op.index()].opcode != Opcode::SwitchVal {
             return false;
         }
-        let operands = body.ops[op.index()].operands.clone();
+        let operands = body.ops[op.index()].operands().clone();
         let Some(cases) = body.ops[op.index()]
             .attr(AttrKey::Cases)
             .and_then(|a| a.as_int_list())
@@ -322,9 +330,8 @@ impl RewritePattern for FoldSwitchVal {
             let mut ops = vec![operands[0]];
             ops.extend(new_vals);
             ops.push(default);
-            let data = &mut body.ops[op.index()];
-            data.operands = ops.into();
-            for (k, a) in &mut data.attrs {
+            body.set_operands(op, ops);
+            for (k, a) in &mut body.ops[op.index()].attrs {
                 if *k == AttrKey::Cases {
                     *a = Attr::IntList(new_cases.clone().into());
                 }
@@ -348,7 +355,7 @@ impl RewritePattern for FoldIntCast {
         if !matches!(opcode, Opcode::ExtUI | Opcode::TruncI) {
             return false;
         }
-        let [a] = body.ops[op.index()].operands[..] else {
+        let [a] = body.ops[op.index()].operands()[..] else {
             return false;
         };
         let Some(v) = const_int_value(body, a) else {
@@ -386,8 +393,8 @@ impl RewritePattern for FoldCondBr {
         if body.ops[op.index()].opcode != Opcode::CondBr {
             return false;
         }
-        let succs = body.ops[op.index()].successors.clone();
-        let cond = body.ops[op.index()].operands[0];
+        let succs = body.ops[op.index()].successors().clone();
+        let cond = body.ops[op.index()].operands()[0];
         let target = if let Some(v) = const_int_value(body, cond) {
             if v != 0 {
                 succs[0].clone()
@@ -399,10 +406,10 @@ impl RewritePattern for FoldCondBr {
         } else {
             return false;
         };
-        let parent = body.ops[op.index()].parent.unwrap();
+        let parent = body.ops[op.index()].parent().unwrap();
         body.erase_op(op);
         let br = body.create_op(Opcode::Br, vec![], &[], vec![]);
-        body.ops[br.index()].successors.push(target);
+        body.push_successor(br, target);
         body.push_op(parent, br);
         true
     }
@@ -420,7 +427,7 @@ impl RewritePattern for FoldSwitchBr {
         if body.ops[op.index()].opcode != Opcode::SwitchBr {
             return false;
         }
-        let idx = body.ops[op.index()].operands[0];
+        let idx = body.ops[op.index()].operands()[0];
         let Some(v) = const_int_value(body, idx) else {
             return false;
         };
@@ -429,16 +436,16 @@ impl RewritePattern for FoldSwitchBr {
             .and_then(|a| a.as_int_list())
             .map(|c| c.to_vec())
             .unwrap_or_default();
-        let succs = body.ops[op.index()].successors.clone();
+        let succs = body.ops[op.index()].successors().clone();
         let target = cases
             .iter()
             .position(|&c| c == v)
             .map(|i| succs[i].clone())
             .unwrap_or_else(|| succs.last().unwrap().clone());
-        let parent = body.ops[op.index()].parent.unwrap();
+        let parent = body.ops[op.index()].parent().unwrap();
         body.erase_op(op);
         let br = body.create_op(Opcode::Br, vec![], &[], vec![]);
-        body.ops[br.index()].successors.push(target);
+        body.push_successor(br, target);
         body.push_op(parent, br);
         true
     }
@@ -471,7 +478,7 @@ mod tests {
     fn ret_is_const(body: &Body, expected: i64) -> bool {
         let entry = body.entry_block();
         let ret = body.terminator(entry).unwrap();
-        let v = body.ops[ret.index()].operands[0];
+        let v = body.ops[ret.index()].operands()[0];
         const_int_value(body, v) == Some(expected)
     }
 
@@ -515,7 +522,7 @@ mod tests {
         b.ret(s);
         let body = canonicalized(body);
         let ret = body.terminator(body.entry_block()).unwrap();
-        assert_eq!(body.ops[ret.index()].operands, vec![params[0]]);
+        assert_eq!(*body.ops[ret.index()].operands(), vec![params[0]]);
         assert_eq!(body.live_op_count(), 1);
     }
 
@@ -528,7 +535,7 @@ mod tests {
         b.ret(s);
         let body = canonicalized(body);
         let ret = body.terminator(body.entry_block()).unwrap();
-        assert_eq!(body.ops[ret.index()].operands, vec![params[1]]);
+        assert_eq!(*body.ops[ret.index()].operands(), vec![params[1]]);
     }
 
     #[test]
@@ -541,7 +548,7 @@ mod tests {
         b.ret(s);
         let body = canonicalized(body);
         let ret = body.terminator(body.entry_block()).unwrap();
-        assert_eq!(body.ops[ret.index()].operands, vec![params[1]]);
+        assert_eq!(*body.ops[ret.index()].operands(), vec![params[1]]);
     }
 
     #[test]
@@ -554,7 +561,7 @@ mod tests {
         b.ret(s);
         let body = canonicalized(body);
         let ret = body.terminator(body.entry_block()).unwrap();
-        assert_eq!(body.ops[ret.index()].operands, vec![params[1]]);
+        assert_eq!(*body.ops[ret.index()].operands(), vec![params[1]]);
     }
 
     #[test]
@@ -587,7 +594,7 @@ mod tests {
         let body = canonicalized(body);
         let term = body.terminator(body.entry_block()).unwrap();
         assert_eq!(body.ops[term.index()].opcode, Opcode::Br);
-        assert_eq!(body.ops[term.index()].successors[0].block, else_b);
+        assert_eq!(body.ops[term.index()].successors()[0].block, else_b);
     }
 
     #[test]
@@ -613,7 +620,7 @@ mod tests {
         let body = canonicalized(body);
         let term = body.terminator(body.entry_block()).unwrap();
         assert_eq!(body.ops[term.index()].opcode, Opcode::Br);
-        assert_eq!(body.ops[term.index()].successors[0].block, b1);
+        assert_eq!(body.ops[term.index()].successors()[0].block, b1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::dom::DomTree;
 use crate::ids::{BlockId, RegionId, ValueId};
 use crate::module::Module;
 use crate::opcode::{Opcode, Purity};
-use crate::pass::{for_each_function, Pass};
+use crate::pass::Pass;
 use crate::types::Type;
 use std::collections::HashMap;
 
@@ -24,8 +24,12 @@ impl Pass for CsePass {
         "cse"
     }
 
-    fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+    fn function_local(&self) -> bool {
+        true
+    }
+
+    fn run_on_function(&self, _module: &Module, body: &mut Body) -> bool {
+        run_on_body(body)
     }
 }
 
@@ -76,7 +80,7 @@ fn cse_region(body: &mut Body, region: RegionId) -> bool {
             }
             let key = CseKey {
                 opcode: data.opcode,
-                operands: data.operands.clone(),
+                operands: data.operands().clone(),
                 attrs: data.attrs.clone(),
                 ty: data.result().map(|r| body.value_type(r)),
             };
@@ -117,7 +121,7 @@ mod tests {
         b.ret(s);
         assert!(run_on_body(&mut body));
         let add = body.defining_op(s).unwrap();
-        let ops = body.ops[add.index()].operands.clone();
+        let ops = body.ops[add.index()].operands().clone();
         assert_eq!(ops[0], ops[1]);
         assert_eq!(body.live_op_count(), 3);
     }
@@ -147,7 +151,7 @@ mod tests {
         bn.ret(e2);
         assert!(run_on_body(&mut body));
         let ret = body.terminator(next).unwrap();
-        assert_eq!(body.ops[ret.index()].operands, vec![e1]);
+        assert_eq!(*body.ops[ret.index()].operands(), vec![e1]);
     }
 
     #[test]

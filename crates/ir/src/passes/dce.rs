@@ -7,7 +7,7 @@
 
 use crate::body::Body;
 use crate::module::Module;
-use crate::pass::{for_each_function, Pass};
+use crate::pass::Pass;
 use crate::rewrite::erase_trivially_dead;
 
 /// The DCE pass.
@@ -19,8 +19,12 @@ impl Pass for DcePass {
         "dce"
     }
 
-    fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+    fn function_local(&self) -> bool {
+        true
+    }
+
+    fn run_on_function(&self, _module: &Module, body: &mut Body) -> bool {
+        run_on_body(body)
     }
 }
 

@@ -5,6 +5,10 @@
 //! after the `rgn`→CFG lowering for leaf functions. This mirrors MLIR's
 //! builtin inliner in the role Figure 11 assigns it; the restriction keeps
 //! the transformation obviously sound (no block splitting required).
+//!
+//! Callees on a cycle of inlinable functions (`spin(n) := spin(n + 1)`, or
+//! single-block `f → g → f`) are never inlined: each splice would bring
+//! back a call to another member of the cycle, so inlining would not end.
 
 use crate::body::Body;
 use crate::ids::{OpId, ValueId};
@@ -35,11 +39,14 @@ impl Pass for InlinePass {
     fn run_on(&self, module: &mut Module) -> bool {
         let mut changed = false;
         // Snapshot which callees are inlinable, then rewrite call sites.
-        let inlinable: Vec<Option<InlinableCallee>> = module
+        let mut inlinable: Vec<Option<InlinableCallee>> = module
             .funcs
             .iter()
             .map(|f| InlinableCallee::extract(f.body.as_ref(), self.max_callee_ops))
             .collect();
+        for i in on_inline_cycle(module, &inlinable) {
+            inlinable[i] = None;
+        }
         for i in 0..module.funcs.len() {
             let Some(mut body) = module.funcs[i].body.take() else {
                 continue;
@@ -83,6 +90,35 @@ impl Pass for InlinePass {
     }
 }
 
+/// Positions of the inlinable callees that can reach themselves through
+/// calls in inlinable snippets.
+fn on_inline_cycle(module: &Module, inlinable: &[Option<InlinableCallee>]) -> Vec<usize> {
+    // The inlinable callees of snippet `i`.
+    let callees = |i: usize| {
+        let ops = inlinable[i].iter().flat_map(|s| &s.ops);
+        ops.filter(|d| d.opcode == Opcode::Call)
+            .filter_map(|d| d.attr(crate::attr::AttrKey::Callee)?.as_sym())
+            .filter_map(|callee| module.func_position(callee))
+            .filter(|&j| inlinable[j].is_some())
+    };
+    let mut seen = vec![false; inlinable.len()];
+    (0..inlinable.len())
+        .filter(|&i| {
+            seen.fill(false);
+            let mut stack: Vec<usize> = callees(i).collect();
+            while let Some(j) = stack.pop() {
+                if j == i {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[j], true) {
+                    stack.extend(callees(j));
+                }
+            }
+            false
+        })
+        .collect()
+}
+
 /// A callee captured in an inlinable form.
 ///
 /// The snapshot is self-contained: op data plus the result *types* of every
@@ -117,7 +153,7 @@ impl InlinableCallee {
         }
         // A void return has no value to substitute for the call's result —
         // bail rather than index into an empty operand list.
-        let returned = *body.ops[term.index()].operands.first()?;
+        let returned = *body.ops[term.index()].operands().first()?;
         // Every value the snippet mentions must be a parameter or a result
         // of an earlier snippet op; anything else (a use of a detached or
         // malformed value) would be unmappable at the call site.
@@ -126,10 +162,10 @@ impl InlinableCallee {
         let mut result_tys = Vec::new();
         for &op in &ops[..ops.len() - 1] {
             let data = &body.ops[op.index()];
-            if !data.regions.is_empty() || !data.successors.is_empty() {
+            if !data.regions.is_empty() || !data.successors().is_empty() {
                 return None;
             }
-            if !data.operands.iter().all(|v| known.contains(v)) {
+            if !data.operands().iter().all(|v| known.contains(v)) {
                 return None;
             }
             known.extend(data.results.iter().copied());
@@ -154,7 +190,7 @@ impl InlinableCallee {
 /// would silently mis-map values) or a call without exactly one result
 /// (there would be nothing to substitute the returned value for).
 fn inline_at(body: &mut Body, call: OpId, snippet: &InlinableCallee) -> bool {
-    let args = body.ops[call.index()].operands.clone();
+    let args = body.ops[call.index()].operands().clone();
     if args.len() != snippet.params.len() {
         return false;
     }
@@ -167,7 +203,7 @@ fn inline_at(body: &mut Body, call: OpId, snippet: &InlinableCallee) -> bool {
     }
     for (data, result_tys) in snippet.ops.iter().zip(&snippet.result_tys) {
         let operands: Vec<ValueId> = data
-            .operands
+            .operands()
             .iter()
             .map(|v| *map.get(v).expect("extract() checked every operand"))
             .collect();
@@ -246,6 +282,71 @@ mod tests {
         b.ret(r);
         m.add_function("selfrec", Signature::new(vec![Type::I64], Type::I64), body);
         assert!(!InlinePass::default().run(&mut m).changed);
+    }
+
+    /// Adds `name(x) := callee(x + 1)`: one block, inlinable.
+    fn add_forwarder(m: &mut Module, name: &str, callee: &str) -> Symbol {
+        let callee = m.intern(callee);
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        let one = b.const_i(1, Type::I64);
+        let next = b.addi(params[0], one);
+        let r = b.call(callee, vec![next], Type::I64);
+        b.ret(r);
+        m.add_function(name, Signature::new(vec![Type::I64], Type::I64), body)
+    }
+
+    /// Runs the inliner on `main(x) := entry(x)` and checks it ends with
+    /// `main` still calling into the cycle.
+    fn assert_cycle_left_alone(mut m: Module, entry: Symbol) {
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let e = body.entry_block();
+        let mut b = Builder::at_end(&mut body, e);
+        let r = b.call(entry, vec![params[0]], Type::I64);
+        b.ret(r);
+        m.add_function("main", Signature::new(vec![Type::I64], Type::I64), body);
+        assert!(!InlinePass::default().run(&mut m).changed);
+        let body = m.func_by_name("main").unwrap().body.as_ref().unwrap();
+        let calls = body
+            .walk_ops()
+            .iter()
+            .filter(|&&op| body.ops[op.index()].opcode == Opcode::Call)
+            .count();
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn self_cycle_callee_is_not_inlined_into_callers() {
+        // `spin(n) := spin(n + 1)`: inlining it into `main` used to bring
+        // back a call to `spin` every time, forever.
+        let mut m = Module::new();
+        let spin = add_forwarder(&mut m, "spin", "spin");
+        assert_cycle_left_alone(m, spin);
+    }
+
+    #[test]
+    fn mutual_cycle_callees_are_not_inlined() {
+        let mut m = Module::new();
+        let f = add_forwarder(&mut m, "f", "g");
+        add_forwarder(&mut m, "g", "f");
+        assert_cycle_left_alone(m, f);
+    }
+
+    #[test]
+    fn callee_reaching_a_cycle_is_still_inlined() {
+        // `h` calls into the `spin` cycle without being on it.
+        let mut m = Module::new();
+        add_forwarder(&mut m, "spin", "spin");
+        let h = add_forwarder(&mut m, "h", "spin");
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let e = body.entry_block();
+        let mut b = Builder::at_end(&mut body, e);
+        let r = b.call(h, vec![params[0]], Type::I64);
+        b.ret(r);
+        m.add_function("main", Signature::new(vec![Type::I64], Type::I64), body);
+        assert!(InlinePass::default().run(&mut m).changed);
+        crate::verifier::verify_module(&m).unwrap();
     }
 
     #[test]

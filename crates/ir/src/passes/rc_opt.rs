@@ -169,7 +169,7 @@ fn borrow_sources(body: &Body) -> Vec<Vec<ValueId>> {
             continue;
         }
         for &r in d.results.as_slice() {
-            for &o in d.operands.as_slice() {
+            for &o in d.operands().as_slice() {
                 sources[r.index()].push(o);
             }
         }
@@ -224,7 +224,7 @@ fn fold_borrows(
                 .and_then(Attr::as_int)
                 .unwrap_or(0);
             // The mask is a u8 on the VM side; positions past 8 stay owned.
-            let args: Vec<ValueId> = c.operands.as_slice().iter().copied().take(8).collect();
+            let args: Vec<ValueId> = c.operands().as_slice().iter().copied().take(8).collect();
             for (p, &v) in args.iter().enumerate() {
                 if mask & (1 << p) != 0 {
                     continue;
@@ -232,7 +232,7 @@ fn fold_borrows(
                 for i in (0..k).rev() {
                     let w = &body.ops[ops[i].index()];
                     if w.opcode == Opcode::LpInc {
-                        if w.operands.as_slice()[0] == v {
+                        if w.operands().as_slice()[0] == v {
                             body.erase_op(ops[i]);
                             set_borrow_mask(body, call, mask | (1 << p));
                             stats.folded_incs += 1;
@@ -284,7 +284,7 @@ fn sink_decs(body: &mut Body, b: usize, sources: &[Vec<ValueId>], stats: &mut Rc
         if d.opcode != Opcode::LpDec {
             continue;
         }
-        let v = d.operands.as_slice()[0];
+        let v = d.operands().as_slice()[0];
         let mut j = i;
         while j > 0 && may_hop_above(body, ops[j - 1], v, sources) {
             j -= 1;
@@ -320,7 +320,7 @@ fn may_hop_above(body: &Body, prev: OpId, v: ValueId, sources: &[Vec<ValueId>]) 
         return false;
     }
     // ... and below every read through `%v` or a borrow of it.
-    !d.operands
+    !d.operands()
         .as_slice()
         .iter()
         .any(|&u| borrows_from(u, v, sources))
@@ -337,11 +337,11 @@ fn elide_pairs(body: &mut Body, b: usize, stats: &mut RcOptStats) -> bool {
             if d.opcode != Opcode::LpDec {
                 continue;
             }
-            let v = d.operands.as_slice()[0];
+            let v = d.operands().as_slice()[0];
             for i in (0..j).rev() {
                 let w = &body.ops[ops[i].index()];
                 if w.opcode == Opcode::LpInc {
-                    if w.operands.as_slice()[0] == v {
+                    if w.operands().as_slice()[0] == v {
                         body.erase_op(ops[i]);
                         body.erase_op(dec);
                         stats.elided_pairs += 1;

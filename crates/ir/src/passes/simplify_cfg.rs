@@ -2,12 +2,12 @@
 //! merging. Runs after the `rgn`→CFG lowering to tidy the jump-table code it
 //! emits (§IV-C).
 
+use crate::analysis::BlockGraph;
 use crate::body::Body;
-use crate::dom::DomTree;
 use crate::ids::{BlockId, RegionId};
 use crate::module::Module;
 use crate::opcode::Opcode;
-use crate::pass::{for_each_function, Pass};
+use crate::pass::Pass;
 use std::collections::HashMap;
 
 /// The CFG simplification pass.
@@ -19,8 +19,12 @@ impl Pass for SimplifyCfgPass {
         "simplify-cfg"
     }
 
-    fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+    fn function_local(&self) -> bool {
+        true
+    }
+
+    fn run_on_function(&self, _module: &Module, body: &mut Body) -> bool {
+        run_on_body(body)
     }
 }
 
@@ -44,32 +48,22 @@ pub fn remove_unreachable_blocks(body: &mut Body) -> bool {
     let mut changed = false;
     for ri in 0..body.regions.len() {
         let region = RegionId(ri as u32);
-        if body.regions[ri].blocks.is_empty() {
+        // A region's entry is always reachable, so a region needs two
+        // blocks to have an unreachable one.
+        if body.regions[ri].blocks.len() < 2 {
             continue;
         }
         // Skip detached regions (their parent op was erased).
         if ri != 0 && body.regions[ri].parent.is_none() {
             continue;
         }
-        let tree = DomTree::compute(body, region);
-        let blocks = body.regions[ri].blocks.clone();
-        let dead: Vec<BlockId> = blocks
-            .iter()
-            .copied()
-            .filter(|&b| !tree.is_reachable(b))
-            .collect();
+        let dead: Vec<BlockId> = BlockGraph::compute(body, region).unreachable().to_vec();
         if dead.is_empty() {
             continue;
         }
         for &b in &dead {
-            let ops = std::mem::take(&mut body.blocks[b.index()].ops);
-            for op in ops {
-                body.ops[op.index()].parent = None;
-                body.erase_op(op);
-            }
-            body.blocks[b.index()].parent = None;
+            body.erase_block(b);
         }
-        body.regions[ri].blocks.retain(|b| !dead.contains(b));
         changed = true;
     }
     changed
@@ -93,7 +87,7 @@ pub fn merge_straightline_blocks(body: &mut Body) -> bool {
             let mut pred_edges: HashMap<BlockId, usize> = HashMap::new();
             for &b in &blocks {
                 if let Some(t) = body.terminator(b) {
-                    for s in &body.ops[t.index()].successors {
+                    for s in body.ops[t.index()].successors() {
                         *pred_edges.entry(s.block).or_default() += 1;
                     }
                 }
@@ -105,7 +99,7 @@ pub fn merge_straightline_blocks(body: &mut Body) -> bool {
                 if body.ops[term.index()].opcode != Opcode::Br {
                     continue;
                 }
-                let succ = body.ops[term.index()].successors[0].block;
+                let succ = body.ops[term.index()].successors()[0].block;
                 // Never merge the region entry (it has an implicit
                 // predecessor: the region's own entry edge).
                 if succ == pred
@@ -115,19 +109,13 @@ pub fn merge_straightline_blocks(body: &mut Body) -> bool {
                     continue;
                 }
                 // Rewire: block args become the branch operands.
-                let args = body.ops[term.index()].successors[0].args.clone();
+                let args = body.ops[term.index()].successors()[0].args.clone();
                 let params = body.blocks[succ.index()].args.clone();
                 for (&p, &a) in params.iter().zip(&args) {
                     body.replace_all_uses(p, a);
                 }
                 body.erase_op(term);
-                let moved = std::mem::take(&mut body.blocks[succ.index()].ops);
-                for &op in &moved {
-                    body.ops[op.index()].parent = Some(pred);
-                }
-                body.blocks[pred.index()].ops.extend(moved);
-                body.blocks[succ.index()].parent = None;
-                body.regions[ri].blocks.retain(|&b| b != succ);
+                body.merge_block_into(succ, pred);
                 changed = true;
                 continue 'merge;
             }
@@ -163,7 +151,7 @@ mod tests {
         assert_eq!(body.regions[0].blocks.len(), 1);
         // return now directly uses the add result.
         let ret = body.terminator(entry).unwrap();
-        assert_eq!(body.ops[ret.index()].operands, vec![s]);
+        assert_eq!(*body.ops[ret.index()].operands(), vec![s]);
     }
 
     #[test]

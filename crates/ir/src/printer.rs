@@ -201,9 +201,9 @@ impl<'a> FuncPrinter<'a> {
         }
         out.push_str(data.opcode.name());
         // Operands.
-        if !data.operands.is_empty() {
+        if !data.operands().is_empty() {
             out.push('(');
-            for (i, &o) in data.operands.iter().enumerate() {
+            for (i, &o) in data.operands().iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
@@ -224,9 +224,9 @@ impl<'a> FuncPrinter<'a> {
             out.push('}');
         }
         // Successors.
-        if !data.successors.is_empty() {
+        if !data.successors().is_empty() {
             out.push_str(" [");
-            for (i, s) in data.successors.iter().enumerate() {
+            for (i, s) in data.successors().iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }

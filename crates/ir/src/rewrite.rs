@@ -6,9 +6,10 @@
 //! patterns over this same driver — that is the paper's point: region
 //! transformations *are* classical SSA rewrites.
 
-use crate::body::Body;
+use crate::body::{Body, ROOT_REGION};
 use crate::ids::OpId;
 use crate::module::Module;
+use crate::opcode::Purity;
 
 /// Context visible to patterns (module-level lookups).
 #[derive(Debug, Clone, Copy)]
@@ -23,9 +24,10 @@ pub trait RewritePattern {
     /// Pattern name (debugging/statistics).
     fn name(&self) -> &'static str;
 
-    /// Attempts to rewrite `op`; returns `true` when IR changed. On `true`
-    /// the driver re-enqueues everything, so a pattern may leave dead ops
-    /// behind (DCE-style cleanup happens in the driver).
+    /// Attempts to rewrite `op`; returns `true` when IR changed. A pattern
+    /// may leave dead ops behind: after each sweep over the ops the driver
+    /// erases them ([`erase_trivially_dead`]), and any change sends it
+    /// around for another sweep.
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, ctx: &RewriteCtx<'_>) -> bool;
 }
 
@@ -53,11 +55,11 @@ pub fn apply_patterns_greedily(
         );
         let mut changed = false;
         for op in body.walk_ops() {
-            if body.ops[op.index()].dead || body.ops[op.index()].parent.is_none() {
+            if body.ops[op.index()].dead || body.ops[op.index()].parent().is_none() {
                 continue;
             }
             for p in patterns {
-                if body.ops[op.index()].dead || body.ops[op.index()].parent.is_none() {
+                if body.ops[op.index()].dead || body.ops[op.index()].parent().is_none() {
                     break;
                 }
                 if p.match_and_rewrite(body, op, ctx) {
@@ -74,34 +76,45 @@ pub fn apply_patterns_greedily(
     changed_any
 }
 
-/// Erases pure/alloc ops whose results are all unused. Returns whether
-/// anything was erased.
+/// Erases pure/alloc ops whose results are all unused, and then every op
+/// that erasure leaves unused in turn. Returns whether anything was erased.
+///
+/// One walk finds the initially dead ops with O(1) use-count checks; from
+/// there a worklist follows the cascade: erasing an op frees its operands,
+/// and a freed value's defining op is queued if it is now dead too.
 pub fn erase_trivially_dead(body: &mut Body) -> bool {
-    use crate::opcode::Purity;
-    let mut changed = false;
-    loop {
-        let counts = body.use_counts();
-        let mut erased = false;
-        for op in body.walk_ops() {
-            let data = &body.ops[op.index()];
-            if data.dead || data.opcode.purity() == Purity::Effect {
-                continue;
-            }
-            let unused = data
-                .results
-                .iter()
-                .all(|r| counts.get(r).copied().unwrap_or(0) == 0);
-            if unused {
-                body.erase_op(op);
-                erased = true;
-            }
+    let mut work = Vec::new();
+    body.visit_region_ops(ROOT_REGION, &mut |op| {
+        if is_trivially_dead(body, op) {
+            work.push(op);
         }
-        changed |= erased;
-        if !erased {
-            break;
+    });
+    let changed = !work.is_empty();
+    let mut freed = Vec::new();
+    while let Some(op) = work.pop() {
+        // An op queued twice, or erased with an enclosing region, is gone.
+        if !is_trivially_dead(body, op) {
+            continue;
+        }
+        body.erase_op_freeing(op, &mut freed);
+        for v in freed.drain(..) {
+            if let Some(def) = body.defining_op(v) {
+                if is_trivially_dead(body, def) {
+                    work.push(def);
+                }
+            }
         }
     }
     changed
+}
+
+/// An attached, non-effecting op none of whose results is used.
+fn is_trivially_dead(body: &Body, op: OpId) -> bool {
+    let data = &body.ops[op.index()];
+    !data.dead
+        && data.parent().is_some()
+        && data.opcode.purity() != Purity::Effect
+        && data.results.iter().all(|&r| body.use_count(r) == 0)
 }
 
 #[cfg(test)]
@@ -121,7 +134,7 @@ mod tests {
             if body.ops[op.index()].opcode != Opcode::AddI {
                 return false;
             }
-            let [a, b] = body.ops[op.index()].operands[..] else {
+            let [a, b] = body.ops[op.index()].operands()[..] else {
                 return false;
             };
             let is_zero = |body: &Body, v| {
@@ -168,7 +181,7 @@ mod tests {
         // Both adds and the constant should be gone; only return remains.
         assert_eq!(body.live_op_count(), 1);
         let ret = body.walk_ops()[0];
-        assert_eq!(body.ops[ret.index()].operands, vec![params[0]]);
+        assert_eq!(*body.ops[ret.index()].operands(), vec![params[0]]);
         module.add_function(
             "f",
             crate::types::Signature::new(vec![Type::I64], Type::I64),

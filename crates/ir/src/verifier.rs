@@ -119,12 +119,12 @@ impl Verifier<'_> {
         let dom = DomInfo::compute(self.body);
         for op in self.body.walk_ops() {
             let data = &self.body.ops[op.index()];
-            for &v in &data.operands {
+            for &v in data.operands() {
                 if !dom.value_dominates_op(self.body, v, op) {
                     self.error(Some(op), format!("operand {v} does not dominate its use"));
                 }
             }
-            for s in &data.successors {
+            for s in data.successors() {
                 for &a in &s.args {
                     if !dom.value_dominates_op(self.body, a, op) {
                         self.error(
@@ -176,7 +176,7 @@ impl Verifier<'_> {
 
     fn operand_tys(&self, op: OpId) -> Vec<Type> {
         self.body.ops[op.index()]
-            .operands
+            .operands()
             .iter()
             .map(|&v| self.body.value_type(v))
             .collect()
@@ -195,7 +195,7 @@ impl Verifier<'_> {
     }
 
     fn check_succ_count(&mut self, op: OpId, expected: usize) {
-        let n = self.body.ops[op.index()].successors.len();
+        let n = self.body.ops[op.index()].successors().len();
         if n != expected {
             self.error(
                 Some(op),
@@ -205,7 +205,7 @@ impl Verifier<'_> {
     }
 
     fn check_succ_args(&mut self, op: OpId) {
-        for s in self.body.ops[op.index()].successors.clone() {
+        for s in self.body.ops[op.index()].successors().clone() {
             let dest_args = self.body.blocks[s.block.index()].args.clone();
             if s.args.len() != dest_args.len() {
                 self.error(
@@ -230,7 +230,7 @@ impl Verifier<'_> {
                 }
             }
             // Successor must be in the same region.
-            let op_block = self.body.ops[op.index()].parent.unwrap();
+            let op_block = self.body.ops[op.index()].parent().unwrap();
             if self.body.block_region(s.block) != self.body.block_region(op_block) {
                 self.error(Some(op), "successor in a different region".to_string());
             }
@@ -265,7 +265,7 @@ impl Verifier<'_> {
                 self.error(Some(op), format!("expected {expected} regions, found {n}"));
             }
         }
-        if !opcode.has_successors() && !self.body.ops[op.index()].successors.is_empty() {
+        if !opcode.has_successors() && !self.body.ops[op.index()].successors().is_empty() {
             self.error(Some(op), "op cannot have successors".to_string());
         }
         match opcode {
@@ -570,7 +570,7 @@ impl Verifier<'_> {
                     "rgn.run arguments may not be region values",
                 );
                 // When the region is statically known, arg counts must match.
-                if let Some(&r) = self.body.ops[op.index()].operands.first() {
+                if let Some(&r) = self.body.ops[op.index()].operands().first() {
                     if let Some(def) = self.body.defining_op(r) {
                         if self.body.ops[def.index()].opcode == Opcode::RgnVal
                             && !self.body.ops[def.index()].regions.is_empty()
@@ -619,7 +619,7 @@ impl Verifier<'_> {
         let label = self.body.ops[jump.index()]
             .attr(AttrKey::Label)
             .and_then(|a| a.as_sym())?;
-        let mut block = self.body.ops[jump.index()].parent?;
+        let mut block = self.body.ops[jump.index()].parent()?;
         loop {
             let region = self.body.block_region(block);
             let parent_op = self.body.regions[region.index()].parent?;
@@ -629,7 +629,7 @@ impl Verifier<'_> {
             {
                 return Some(parent_op);
             }
-            block = pdata.parent?;
+            block = pdata.parent()?;
         }
     }
 
@@ -638,7 +638,7 @@ impl Verifier<'_> {
         for op in self.body.walk_ops() {
             let data = &self.body.ops[op.index()];
             let opcode = data.opcode;
-            for (i, &v) in data.operands.clone().iter().enumerate() {
+            for (i, &v) in data.operands().clone().iter().enumerate() {
                 if self.body.value_type(v) != Type::Rgn {
                     continue;
                 }
@@ -655,7 +655,7 @@ impl Verifier<'_> {
                     );
                 }
             }
-            for s in &data.successors {
+            for s in data.successors() {
                 for &a in &s.args {
                     if self.body.value_type(a) == Type::Rgn {
                         self.error(

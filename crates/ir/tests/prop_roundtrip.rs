@@ -130,7 +130,7 @@ fn run(module: &Module, a: i64, b: i64) -> i64 {
     lssa_ir::passes::DcePass.run(&mut m2);
     let body = m2.func_by_name("f").unwrap().body.as_ref().unwrap();
     let ret = body.terminator(body.entry_block()).unwrap();
-    let v = body.ops[ret.index()].operands[0];
+    let v = body.ops[ret.index()].operands()[0];
     lssa_ir::passes::const_int_value(body, v).unwrap_or_else(|| {
         // Division-free recipes always fold; if not, report loudly.
         panic!(

@@ -184,7 +184,7 @@ impl FnCompiler<'_> {
         use Opcode::*;
         let data = &self.body.ops[op.index()];
         let opcode = data.opcode;
-        let operands = data.operands.clone();
+        let operands = data.operands().clone();
         let result = data.results.first().copied();
         let srcs: Vec<Reg> = operands.iter().map(|&v| self.reg(v)).collect();
         match opcode {
@@ -258,13 +258,13 @@ impl FnCompiler<'_> {
                 });
             }
             Br => {
-                let succ = self.body.ops[op.index()].successors[0].clone();
+                let succ = self.body.ops[op.index()].successors()[0].clone();
                 self.emit_edge(code, succ.block, &succ.args)?;
                 fixups.push((code.len(), 0, succ.block));
                 code.push(Instr::Jump { target: usize::MAX });
             }
             CondBr => {
-                let succs = self.body.ops[op.index()].successors.clone();
+                let succs = self.body.ops[op.index()].successors().clone();
                 // Edge trampolines handle per-edge argument transfer.
                 let branch_at = code.len();
                 code.push(Instr::Branch {
@@ -290,7 +290,7 @@ impl FnCompiler<'_> {
                     .and_then(|a| a.as_int_list())
                     .ok_or_else(|| err("switch without cases"))?
                     .to_vec();
-                let succs = self.body.ops[op.index()].successors.clone();
+                let succs = self.body.ops[op.index()].successors().clone();
                 let switch_at = code.len();
                 code.push(Instr::Switch {
                     idx: srcs[0],

@@ -29,8 +29,8 @@ fn block_uses_defs(body: &Body, b: BlockId) -> (HashSet<ValueId>, HashSet<ValueI
     let mut defs: HashSet<ValueId> = body.blocks[b.index()].args.iter().copied().collect();
     for &op in &body.blocks[b.index()].ops {
         let data = &body.ops[op.index()];
-        uses.extend(data.operands.iter().copied());
-        for s in &data.successors {
+        uses.extend(data.operands().iter().copied());
+        for s in data.successors() {
             uses.extend(s.args.iter().copied());
         }
         defs.extend(data.results.iter().copied());

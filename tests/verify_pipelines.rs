@@ -96,8 +96,7 @@ fn inject_spurious_dec(body: &mut Body) -> bool {
         return false;
     };
     let op = body.create_op(Opcode::LpDec, vec![victim], &[], vec![]);
-    body.ops[op.index()].parent = Some(entry);
-    body.blocks[entry.index()].ops.insert(0, op);
+    body.insert_op(entry, 0, op);
     true
 }
 
@@ -210,5 +209,37 @@ fn conformance_corpus_compiles_verified_and_rc_checked() {
                 );
             }
         }
+    }
+}
+
+/// The compiler's output is a fixpoint of the `cleanup` pipeline: running
+/// it again over the whole module changes nothing. `cleanup` revisits only
+/// the functions its previous sweep changed, so this also checks that the
+/// functions it stopped visiting really were at the fixpoint.
+#[test]
+fn compile_output_is_a_cleanup_fixpoint_on_workloads_and_corpus() {
+    use lssa_core::pipeline::{compile_with_report, reoptimize};
+    let workloads = workloads::all(workloads::Scale::Test)
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.src));
+    let corpus = lssa_driver::conformance::full_corpus(648, 0)
+        .into_iter()
+        .step_by(10)
+        .take(64)
+        .map(|c| (c.name, c.src));
+    let programs: Vec<(String, String)> = workloads.chain(corpus).collect();
+    assert_eq!(programs.len(), 8 + 64);
+    let opts = PipelineOptions {
+        verify: true,
+        ..PipelineOptions::full()
+    };
+    for (name, src) in programs {
+        let rc = frontend(&src, CompilerConfig::mlir()).expect("frontend");
+        let (mut module, report) = compile_with_report(&rc, opts);
+        let cleanup = report.phases.last().expect("phases");
+        assert_eq!(cleanup.pipeline, "cleanup");
+        assert!(cleanup.converged, "{name}: cleanup must reach its fixpoint");
+        let again = reoptimize(&mut module, opts);
+        assert!(!again.changed, "{name}:\n{}", again.render_table());
     }
 }
