@@ -9,12 +9,9 @@
 //! - decode-time superinstruction fusion on/off (the `-fusion` knob runs
 //!   the full compile pipeline but executes the unfused stream, so the
 //!   fused rows of the VM tables quantify exactly what fusion buys),
-//! - the VM's dispatch-loop knobs: `-threaded` falls back to match
-//!   dispatch, `-inline-cache` disables the per-call-site target caches,
-//!   `-renumber` disables decode-time register compaction. All three run
-//!   the identical program, so their instruction counts match `full` —
-//!   the VM statistics tables (cache hit rates, frame-pool bytes) carry
-//!   the signal for these rows.
+//! - decode-time register compaction on/off (`-renumber` runs the
+//!   identical program, so its instruction count matches `full` — the VM
+//!   statistics table's frame-pool bytes carry the signal for this row).
 //!
 //! Reports deterministic VM instruction counts and static code size per
 //! knob, per benchmark — wall-clock-free, so the ablation is exactly
@@ -33,7 +30,7 @@ use lssa_core::{PipelineOptions, PipelineReport};
 use lssa_driver::pipelines::{compile_with_report, Backend, CompilerConfig};
 use lssa_driver::workloads::{all, Scale};
 use lssa_lambda::SimplifyOptions;
-use lssa_vm::{DecodeOptions, DispatchMode, ExecOptions};
+use lssa_vm::DecodeOptions;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -46,9 +43,8 @@ fn main() {
         Scale::Test
     };
     let fused = DecodeOptions::fused();
-    let exec = ExecOptions::default();
-    let knobs: Vec<(&str, PipelineOptions, DecodeOptions, ExecOptions)> = vec![
-        ("full", PipelineOptions::full(), fused, exec),
+    let knobs: Vec<(&str, PipelineOptions, DecodeOptions)> = vec![
+        ("full", PipelineOptions::full(), fused),
         (
             "-region-opts",
             PipelineOptions {
@@ -56,7 +52,6 @@ fn main() {
                 ..PipelineOptions::full()
             },
             fused,
-            exec,
         ),
         (
             "-generic-opts",
@@ -65,7 +60,6 @@ fn main() {
                 ..PipelineOptions::full()
             },
             fused,
-            exec,
         ),
         (
             "-guaranteed-tco",
@@ -74,7 +68,6 @@ fn main() {
                 ..PipelineOptions::full()
             },
             fused,
-            exec,
         ),
         (
             "-rc-opt",
@@ -83,38 +76,23 @@ fn main() {
                 ..PipelineOptions::full()
             },
             fused,
-            exec,
         ),
         (
             "-fusion",
             PipelineOptions::full(),
             DecodeOptions::no_fuse().with_renumber(true),
-            exec,
-        ),
-        (
-            "-threaded",
-            PipelineOptions::full(),
-            fused,
-            exec.with_dispatch(DispatchMode::Match),
-        ),
-        (
-            "-inline-cache",
-            PipelineOptions::full(),
-            fused,
-            exec.with_inline_cache(false),
         ),
         (
             "-renumber",
             PipelineOptions::full(),
             fused.with_renumber(false),
-            exec,
         ),
-        ("none", PipelineOptions::no_opt(), fused, exec),
+        ("none", PipelineOptions::no_opt(), fused),
     ];
     println!("Ablation over the rgn pipeline's design knobs (instruction counts, deterministic)");
     println!();
     print!("{:<20}", "benchmark");
-    for (label, _, _, _) in &knobs {
+    for (label, _, _) in &knobs {
         print!(" {label:>16}");
     }
     println!();
@@ -126,7 +104,7 @@ fn main() {
         .collect();
     for w in all(scale) {
         print!("{:<20}", w.name);
-        for (i, (_, opts, decode, exec)) in knobs.iter().enumerate() {
+        for (i, (_, opts, decode)) in knobs.iter().enumerate() {
             // The RC-linearity checker rides along on every knob so the
             // per-pass tables below report its cost (`verify-rc-us`) — and
             // every ablation run doubles as a full-matrix RC verification.
@@ -140,9 +118,8 @@ fn main() {
             };
             let (program, report) = compile_with_report(&w.src, config).expect("compile");
             knob_reports[i].merge(&report.expect("mlir backend reports statistics"));
-            let out =
-                lssa_vm::run_program_opts(&program, "main", lssa_bench::MAX_STEPS, *decode, *exec)
-                    .expect("run");
+            let out = lssa_vm::run_program_with(&program, "main", lssa_bench::MAX_STEPS, *decode)
+                .expect("run");
             knob_vm_stats[i].merge(&out.vm_stats);
             print!(" {:>10}/{:<5}", out.stats.instructions, program.code_size());
         }
@@ -153,19 +130,19 @@ fn main() {
     println!("expected shape: -region-opts and none never beat full; -guaranteed-tco only");
     println!("affects stack depth (instruction counts are within noise of full); -fusion");
     println!("executes the same program as full but without superinstructions, so its");
-    println!("dynamic count is higher at identical static code size; -threaded,");
-    println!("-inline-cache and -renumber execute the identical stream (identical counts) —");
-    println!("their effect is wall-clock and frame-pool only, see the VM tables below.");
+    println!("dynamic count is higher at identical static code size; -renumber executes");
+    println!("the identical stream (identical counts) — its effect is frame-pool only, see");
+    println!("the VM tables below.");
     println!();
     println!("Per-pass statistics per knob (aggregated across the workloads above)");
-    for ((label, _, _, _), report) in knobs.iter().zip(&knob_reports) {
+    for ((label, _, _), report) in knobs.iter().zip(&knob_reports) {
         println!();
         println!("=== {label} ===");
         print!("{}", report.render_table());
     }
     println!();
     println!("Per-opcode-class VM statistics per knob (run-side costs, aggregated)");
-    for ((label, _, _, _), stats) in knobs.iter().zip(&knob_vm_stats) {
+    for ((label, _, _), stats) in knobs.iter().zip(&knob_vm_stats) {
         println!();
         println!("=== {label} ===");
         print!("{}", stats.render_table());

@@ -1,32 +1,29 @@
 //! Machine-readable benchmark results (`lssa bench --json` / `--check`).
 //!
 //! Every workload is compiled once (full MLIR pipeline), then executed
-//! under each **knob configuration** — the ablation ladder for the VM's
-//! dispatch optimisations — in interleaved rounds (round-robin over the
-//! ladder, so a slow system phase taxes every config alike), recording
-//! the *minimum* wall time next to the deterministic counters
-//! (instructions executed, fused share, heap allocations, inline-cache
-//! hits/misses). The minimum, not the median: on a shared machine the
-//! best observed run is the least-noise estimate of a deterministic
-//! program's true cost. The ladder:
+//! under each **knob configuration** — the ablation ladder for the knobs
+//! that still pay — in interleaved rounds (round-robin over the ladder, so
+//! a slow system phase taxes every config alike), recording the *minimum*
+//! wall time next to the deterministic counters (instructions executed,
+//! fused share, heap allocations, executed rc cells). The minimum, not the
+//! median: on a shared machine the best observed run is the least-noise
+//! estimate of a deterministic program's true cost. The ladder:
 //!
-//! | config           | dispatch | inline cache | renumber | fusion | rc-opt |
-//! |------------------|----------|--------------|----------|--------|--------|
-//! | `base`           | match    | off          | off      | on     | on     |
-//! | `threaded`       | threaded | off          | off      | on     | on     |
-//! | `threaded_cache` | threaded | on           | off      | on     | on     |
-//! | `full`           | threaded | on           | on       | on     | on     |
-//! | `full_nofuse`    | threaded | on           | on       | off    | on     |
-//! | `full_norc`      | threaded | on           | on       | on     | off    |
+//! | config        | fusion | rc-opt |
+//! |---------------|--------|--------|
+//! | `full`        | on     | on     |
+//! | `full_nofuse` | off    | on     |
+//! | `full_norc`   | on     | off    |
 //!
-//! `base` is the PR 5 interpreter (match dispatch over fused cells), so
-//! each record's `speedup` — `base` wall over `full` wall — tracks the
-//! aggregate win of this PR's three optimisations, and consecutive rows
-//! isolate each knob's contribution. `full_norc` is the only rung that
+//! Every rung runs the one threaded interpreter loop with register
+//! renumbering on. `full_nofuse` / `full` isolates what decode-time
+//! superinstruction fusion buys. `full_norc` is the only rung that
 //! recompiles: it drops the compile-time reference-count optimization
 //! pass (everything else reuses one compilation), so `full` vs
 //! `full_norc` isolates the rc-opt win — watch the `rc_cells` column
 //! (executed plain `inc`/`dec` cells plus fused `dec+dec` cells) drop.
+//! Both are within-run ratios ([`BenchRecord::ratio`]), so they carry
+//! over between machines where absolute milliseconds do not.
 //! The records serialize to
 //! `BENCH_<scale>.json`: commit the file, diff it later, and
 //! [`check_against`] a committed baseline to catch regressions in CI
@@ -34,72 +31,46 @@
 //!
 //! The JSON is written *and parsed* by hand — the workspace is offline and
 //! a perf baseline does not justify a serde dependency. The parser only
-//! accepts the shape [`render_json`] emits.
+//! accepts the shape [`render_json`] emits (files from before a rung was
+//! retired still parse; [`render_diff`] lists their extra rows as
+//! removed).
 
 use crate::pipelines::{compile, Backend, CompilerConfig};
 use crate::workloads::Workload;
 use lssa_core::PipelineOptions;
-use lssa_vm::{DecodeOptions, DispatchMode, ExecOptions, OpClass};
+use lssa_vm::{DecodeOptions, OpClass};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One knob configuration: a label plus the decode/exec option pair and
-/// the compile-side rc-opt switch.
+/// One knob configuration: a label plus the decode options and the
+/// compile-side rc-opt switch.
 #[derive(Debug, Clone, Copy)]
 pub struct KnobConfig {
     /// Stable row label (a JSON key, so `[a-z_]+`).
     pub label: &'static str,
     /// Decode-time options (fusion, register renumbering).
     pub decode: DecodeOptions,
-    /// Execution options (dispatch mode, inline caches).
-    pub exec: ExecOptions,
     /// Whether the compile pipeline runs the reference-count
     /// optimization pass (`false` only on the `full_norc` rung).
     pub rc_opt: bool,
 }
 
 /// The measured ladder, in ablation order (see the module docs).
-pub fn knob_configs() -> [KnobConfig; 6] {
-    let match_nc = ExecOptions::default()
-        .with_dispatch(DispatchMode::Match)
-        .with_inline_cache(false);
-    let threaded_nc = ExecOptions::default().with_inline_cache(false);
-    let threaded_c = ExecOptions::default();
+pub fn knob_configs() -> [KnobConfig; 3] {
     [
-        KnobConfig {
-            label: "base",
-            decode: DecodeOptions::fused().with_renumber(false),
-            exec: match_nc,
-            rc_opt: true,
-        },
-        KnobConfig {
-            label: "threaded",
-            decode: DecodeOptions::fused().with_renumber(false),
-            exec: threaded_nc,
-            rc_opt: true,
-        },
-        KnobConfig {
-            label: "threaded_cache",
-            decode: DecodeOptions::fused().with_renumber(false),
-            exec: threaded_c,
-            rc_opt: true,
-        },
         KnobConfig {
             label: "full",
             decode: DecodeOptions::fused(),
-            exec: threaded_c,
             rc_opt: true,
         },
         KnobConfig {
             label: "full_nofuse",
             decode: DecodeOptions::no_fuse().with_renumber(true),
-            exec: threaded_c,
             rc_opt: true,
         },
         KnobConfig {
             label: "full_norc",
             decode: DecodeOptions::fused(),
-            exec: threaded_c,
             rc_opt: false,
         },
     ]
@@ -120,10 +91,6 @@ pub struct KnobResult {
     pub fused_share: f64,
     /// Heap objects allocated over the run.
     pub heap_allocs: u64,
-    /// Inline-cache hits (0 when caching is off).
-    pub cache_hits: u64,
-    /// Inline-cache misses (0 when caching is off).
-    pub cache_misses: u64,
     /// Executed reference-count cells: plain `inc`/`dec` plus the fused
     /// `dec+dec` / `dec x4` superinstructions (the traffic rc-opt
     /// removes).
@@ -145,31 +112,23 @@ impl BenchRecord {
         self.rows.iter().find(|r| r.config == config)
     }
 
-    /// Wall-clock speedup of the `full` configuration over `base` (the
-    /// PR 5 interpreter).
+    /// Within-run wall-time ratio of a rung over `full` (e.g.
+    /// `full_nofuse` / `full`: how much slower the run is without that
+    /// knob).
     ///
     /// # Panics
     ///
     /// Panics if either row is missing.
-    pub fn speedup(&self) -> f64 {
-        self.row("base").expect("base row").wall_ms / self.row("full").expect("full row").wall_ms
+    pub fn ratio(&self, config: &str) -> f64 {
+        self.row(config).expect("config row").wall_ms / self.row("full").expect("full row").wall_ms
     }
-}
-
-/// Geometric mean of per-workload [`BenchRecord::speedup`]s — the
-/// headline "aggregate over the PR 5 baseline" number.
-pub fn geomean_speedup(records: &[BenchRecord]) -> f64 {
-    if records.is_empty() {
-        return 1.0;
-    }
-    let log_sum: f64 = records.iter().map(|r| r.speedup().ln()).sum();
-    (log_sum / records.len() as f64).exp()
 }
 
 /// Measures one workload under every knob configuration. The workload
 /// compiles twice — once with the full MLIR pipeline, once with rc-opt
 /// disabled for the `full_norc` rung — then the configs run in
-/// interleaved rounds — base, threaded, …, then the whole ladder again —
+/// interleaved rounds — `full`, `full_nofuse`, `full_norc`, then the whole
+/// ladder again —
 /// and each row keeps its best time, so system-wide slow phases cannot
 /// bias one config against another.
 ///
@@ -196,8 +155,7 @@ pub fn measure_workload(w: &Workload, runs: usize, max_steps: u64) -> BenchRecor
             let program = if cfg.rc_opt { &program } else { &program_norc };
             let decoded = program.decoded(cfg.decode);
             let start = Instant::now();
-            let out = lssa_vm::run_decoded_with(&decoded, "main", max_steps, cfg.exec)
-                .expect("benchmark");
+            let out = lssa_vm::run_decoded(&decoded, "main", max_steps).expect("benchmark");
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(out.stats.heap.live, 0, "benchmark leaked");
             let stats = out.vm_stats;
@@ -209,8 +167,6 @@ pub fn measure_workload(w: &Workload, runs: usize, max_steps: u64) -> BenchRecor
                     fused_cells: stats.fused_cells,
                     fused_share: stats.fused_share(),
                     heap_allocs: stats.heap.allocs,
-                    cache_hits: stats.cache_hits,
-                    cache_misses: stats.cache_misses,
                     rc_cells: stats.executed_of(OpClass::Rc)
                         + stats.executed_of(OpClass::FusedDec2)
                         + stats.executed_of(OpClass::FusedDec4),
@@ -259,22 +215,20 @@ fn row_json(out: &mut String, m: &KnobResult) {
         out,
         "      \"{}\": {{ \"wall_ms\": {:.3}, \"instructions\": {}, \
          \"fused_cells\": {}, \"fused_share\": {:.4}, \"heap_allocs\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"rc_cells\": {} }}",
+         \"rc_cells\": {} }}",
         m.config,
         m.wall_ms,
         m.instructions,
         m.fused_cells,
         m.fused_share,
         m.heap_allocs,
-        m.cache_hits,
-        m.cache_misses,
         m.rc_cells
     );
 }
 
 /// Serializes the records. `scale_label` and `runs` document how the
 /// numbers were produced; wall times are milliseconds, `fused_share` is a
-/// 0..=1 fraction of executed cells, `speedup` is `base` over `full`.
+/// 0..=1 fraction of executed cells.
 pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"scale\": \"");
@@ -290,18 +244,14 @@ pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> S
         out.push_str("    {\n      \"name\": \"");
         escape_into(&mut out, &r.name);
         out.push_str("\",\n");
-        for m in &r.rows {
+        for (j, m) in r.rows.iter().enumerate() {
             row_json(&mut out, m);
-            out.push_str(",\n");
+            out.push_str(if j + 1 < r.rows.len() { ",\n" } else { "\n" });
         }
-        let _ = write!(out, "      \"speedup\": {:.3}\n    }}", r.speedup());
+        out.push_str("    }");
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
-    let _ = write!(
-        out,
-        "  ],\n  \"geomean_speedup\": {:.3}\n}}\n",
-        geomean_speedup(records)
-    );
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -310,7 +260,7 @@ pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> S
 pub struct BaselineRow {
     /// Workload name.
     pub name: String,
-    /// Config label (`base`, `threaded`, …).
+    /// Config label (`full`, `full_nofuse`, …).
     pub config: String,
     /// Recorded median wall time in milliseconds.
     pub wall_ms: f64,
@@ -527,16 +477,11 @@ mod tests {
     fn measures_and_serializes_a_workload() {
         let w = by_name("filter", Scale::Test).unwrap();
         let r = measure_workload(&w, 2, 500_000_000);
-        let base = r.row("base").unwrap();
         let full = r.row("full").unwrap();
         let nofuse = r.row("full_nofuse").unwrap();
         let norc = r.row("full_norc").unwrap();
-        assert_eq!(base.heap_allocs, full.heap_allocs, "same program");
+        assert_eq!(nofuse.heap_allocs, full.heap_allocs, "same program");
         assert!(full.instructions < nofuse.instructions, "fusion cuts cells");
-        assert_eq!(
-            base.instructions, full.instructions,
-            "dispatch/caches/renumbering must not change the cell count"
-        );
         assert!(
             full.rc_cells < norc.rc_cells,
             "rc-opt must cut executed rc cells ({} vs {})",
@@ -549,11 +494,7 @@ mod tests {
         );
         assert!(full.fused_cells > 0);
         assert_eq!(nofuse.fused_cells, 0);
-        assert_eq!(base.cache_hits, 0, "caching off in base");
-        assert!(
-            full.cache_hits > 0,
-            "a call-heavy workload must hit the inline caches"
-        );
+        assert!(r.ratio("full_nofuse") > 0.0);
         let json = render_json("test", 2, std::slice::from_ref(&r));
         assert!(json.contains("\"name\": \"filter\""));
         for cfg in knob_configs() {
@@ -563,8 +504,6 @@ mod tests {
                 cfg.label
             );
         }
-        assert!(json.contains("\"speedup\":"));
-        assert!(json.contains("\"geomean_speedup\":"));
         // Brackets balance (cheap well-formedness check without a parser).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -572,10 +511,10 @@ mod tests {
         let rows = parse_baseline(&json).unwrap();
         assert_eq!(rows.len(), knob_configs().len());
         assert_eq!(rows[0].name, "filter");
-        assert_eq!(rows[0].config, "base");
-        assert_eq!(rows[0].instructions, base.instructions);
-        assert_eq!(rows[0].rc_cells, Some(base.rc_cells));
-        assert!((rows[0].wall_ms - base.wall_ms).abs() < 0.001);
+        assert_eq!(rows[0].config, "full");
+        assert_eq!(rows[0].instructions, full.instructions);
+        assert_eq!(rows[0].rc_cells, Some(full.rc_cells));
+        assert!((rows[0].wall_ms - full.wall_ms).abs() < 0.001);
         // And checking fresh-vs-own-baseline passes. The JSON rounds walls
         // to 3 decimals, so the parsed baseline can sit up to 0.0005ms
         // below the in-memory value — several percent of a sub-0.01ms
@@ -596,8 +535,6 @@ mod tests {
                 fused_cells: 0,
                 fused_share: 0.0,
                 heap_allocs: 0,
-                cache_hits: 0,
-                cache_misses: 0,
                 rc_cells: 0,
             }],
         };
@@ -656,6 +593,75 @@ mod tests {
         assert!(lines[2].contains("-200 (-22.2%)"), "{table}");
         assert!(lines[3].contains("added"), "{table}");
         assert!(lines[4].contains("removed"), "{table}");
+    }
+
+    /// The `qsort` record of the committed test-scale baseline as it was
+    /// written before the `base`, `threaded` and `threaded_cache` rungs
+    /// were retired: six rows with cache counters, then a per-workload
+    /// `speedup` and a `geomean_speedup`.
+    const OLD_LADDER_JSON: &str = r#"{
+  "scale": "test",
+  "runs": 5,
+  "configs": ["base", "threaded", "threaded_cache", "full", "full_nofuse", "full_norc"],
+  "workloads": [
+    {
+      "name": "qsort",
+      "base": { "wall_ms": 0.069, "instructions": 2045, "fused_cells": 17, "fused_share": 0.1247, "heap_allocs": 11, "cache_hits": 0, "cache_misses": 0, "rc_cells": 321 },
+      "threaded": { "wall_ms": 0.021, "instructions": 2045, "fused_cells": 17, "fused_share": 0.1247, "heap_allocs": 11, "cache_hits": 0, "cache_misses": 0, "rc_cells": 321 },
+      "threaded_cache": { "wall_ms": 0.018, "instructions": 2045, "fused_cells": 17, "fused_share": 0.1247, "heap_allocs": 11, "cache_hits": 18, "cache_misses": 5, "rc_cells": 321 },
+      "full": { "wall_ms": 0.021, "instructions": 2045, "fused_cells": 17, "fused_share": 0.1247, "heap_allocs": 11, "cache_hits": 18, "cache_misses": 5, "rc_cells": 321 },
+      "full_nofuse": { "wall_ms": 0.021, "instructions": 2370, "fused_cells": 0, "fused_share": 0.0000, "heap_allocs": 11, "cache_hits": 18, "cache_misses": 5, "rc_cells": 379 },
+      "full_norc": { "wall_ms": 0.021, "instructions": 2817, "fused_cells": 17, "fused_share": 0.0905, "heap_allocs": 11, "cache_hits": 18, "cache_misses": 5, "rc_cells": 1093 },
+      "speedup": 3.209
+    }
+  ],
+  "geomean_speedup": 3.209
+}
+"#;
+
+    #[test]
+    fn diff_reads_pre_retirement_baselines_and_lists_retired_rungs_as_removed() {
+        let old = parse_baseline(OLD_LADDER_JSON).unwrap();
+        assert_eq!(old.len(), 6);
+        let full = old.iter().find(|r| r.config == "full").unwrap();
+        assert_eq!(full.instructions, 2045);
+        assert_eq!(full.rc_cells, Some(321));
+        // Today's three rungs, as `render_json` writes them now.
+        let fresh = BenchRecord {
+            name: "qsort".into(),
+            rows: old
+                .iter()
+                .filter_map(|o| {
+                    let cfg = knob_configs().into_iter().find(|c| c.label == o.config)?;
+                    Some(KnobResult {
+                        config: cfg.label,
+                        wall_ms: o.wall_ms,
+                        instructions: o.instructions,
+                        fused_cells: 0,
+                        fused_share: 0.0,
+                        heap_allocs: 0,
+                        rc_cells: o.rc_cells.unwrap(),
+                    })
+                })
+                .collect(),
+        };
+        assert_eq!(fresh.rows.len(), 3);
+        let new = parse_baseline(&render_json("test", 5, &[fresh])).unwrap();
+        let table = render_diff(&old, &new);
+        let removed: Vec<&str> = table
+            .lines()
+            .filter(|l| l.ends_with("removed (no new row)"))
+            .map(|l| l.split_whitespace().nth(1).unwrap())
+            .collect();
+        assert_eq!(removed, ["base", "threaded", "threaded_cache"], "{table}");
+        for config in ["full", "full_nofuse", "full_norc"] {
+            let line = table
+                .lines()
+                .find(|l| l.split_whitespace().nth(1) == Some(config))
+                .unwrap();
+            assert!(line.contains("~noise"), "{table}");
+            assert!(!line.contains("added"), "{table}");
+        }
     }
 
     #[test]

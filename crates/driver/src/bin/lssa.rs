@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats]
-//!                 [--no-fuse] [--no-renumber] [--no-inline-cache] [--no-rc-opt]
-//!                 [--dispatch match|threaded] [--print-ir-after-all]
+//!                 [--no-fuse] [--no-renumber] [--no-rc-opt] [--print-ir-after-all]
 //!                 [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]
 //! lssa check <file>... [--format human|json]
 //! lssa lint <file>... [--format human|json]
@@ -11,9 +10,13 @@
 //! lssa dump <file> [--stage lp|rgn|opt|cfg]
 //! lssa diff <file>
 //! lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--no-fuse] [--json]
-//!                 [--check] [--tolerance PCT] [--out FILE]
+//!                 [--check] [--tolerance PCT] [--runs N] [--out FILE]
 //! lssa bench --diff <old.json> <new.json>
 //! ```
+//!
+//! Every verb rejects a `--flag` it does not know with exit code **2**,
+//! naming the flag, so a script passing a retired or misspelt knob fails
+//! loudly instead of silently measuring the default.
 //!
 //! Files ending in `.lssa` are parsed by the S-expression text frontend
 //! (`lssa-syntax`); anything else uses the built-in surface language. The
@@ -45,11 +48,9 @@
 //! allocations, frame-pool behaviour, max frame depth, wall time),
 //! including the fused-superinstruction rows. `--no-fuse` disables the
 //! decode-time superinstruction fusion pass, `--no-renumber` the
-//! decode-time register compaction, `--no-inline-cache` the per-call-site
-//! target caches, `--no-rc-opt` the compile-time reference-count
-//! optimization pass, and `--dispatch match` falls back from the threaded
-//! function-pointer dispatch loop to the classic match loop — one flag per
-//! knob, for ablation measurements. `--print-ir-after-all` dumps the
+//! decode-time register compaction, and `--no-rc-opt` the compile-time
+//! reference-count optimization pass — one flag per knob, for ablation
+//! measurements. `--print-ir-after-all` dumps the
 //! module to stderr after every pass, MLIR-style.
 //!
 //! `run` executes under resource governance (see `lssa_driver::jobs`):
@@ -60,7 +61,9 @@
 //! "the program was stopped".
 //!
 //! `bench --json` measures the selected workloads under every knob
-//! configuration (see `lssa_driver::benchjson`) and writes
+//! configuration (see `lssa_driver::benchjson`), prints each workload's
+//! `full` wall time with the within-run ratios `full_nofuse`/`full` and
+//! `full_norc`/`full`, and writes
 //! machine-readable records to `BENCH_<scale>.json` (or `--out FILE`) —
 //! the committed perf-trajectory baseline. `bench --check` re-measures
 //! and compares against that committed file instead of overwriting it:
@@ -78,7 +81,7 @@ use lssa_driver::pipelines::{
 };
 use lssa_driver::workloads::{all, by_name, Scale, Workload};
 use lssa_lambda::ast::Program;
-use lssa_vm::{DecodeOptions, DispatchMode, ExecOptions, JobLimits};
+use lssa_vm::{DecodeOptions, ExecOptions, JobLimits};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -89,26 +92,108 @@ const MAX_STEPS: u64 = 2_000_000_000;
 /// 0 = success, 1 = any other error, 3 = resource exhaustion.
 const EXIT_RESOURCE: u8 = 3;
 
+/// Exit code for a command line naming a flag its verb does not accept.
+const EXIT_UNKNOWN_FLAG: u8 = 2;
+
+/// The flags a verb accepts, as `(flag, takes a value)` pairs; `None` for
+/// an unknown verb (which `run` reports).
+fn verb_flags(verb: &str) -> Option<Vec<(&'static str, bool)>> {
+    // What `decode_options` and `exec_options` read.
+    let decode = [("--no-fuse", false), ("--no-renumber", false)];
+    let budgets = [
+        ("--step-budget", true),
+        ("--heap-budget", true),
+        ("--deadline-ms", true),
+    ];
+    let flags: Vec<(&str, bool)> = match verb {
+        "run" => [
+            ("--backend", true),
+            ("--pass-stats", false),
+            ("--vm-stats", false),
+            ("--no-rc-opt", false),
+            ("--print-ir-after-all", false),
+        ]
+        .into_iter()
+        .chain(decode)
+        .chain(budgets)
+        .collect(),
+        "check" | "lint" => vec![("--format", true)],
+        "fmt" => vec![("--write", false), ("--check", false)],
+        "dump" => vec![("--stage", true)],
+        "diff" => Vec::new(),
+        "bench" => [
+            ("--scale", true),
+            ("--json", false),
+            ("--check", false),
+            ("--tolerance", true),
+            ("--runs", true),
+            ("--out", true),
+            ("--diff", false),
+        ]
+        .into_iter()
+        .chain(decode)
+        .chain(budgets)
+        .collect(),
+        _ => return None,
+    };
+    Some(flags)
+}
+
+/// Rejects the first `--flag` the verb does not accept. Values of
+/// value-taking flags are skipped, so `--out --weird-name.json` is a
+/// file name, not a flag.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let Some(verb) = args.first() else {
+        return Ok(());
+    };
+    let Some(flags) = verb_flags(verb) else {
+        return Ok(());
+    };
+    let mut rest = args[1..].iter();
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            continue;
+        }
+        match flags.iter().find(|(f, _)| f == a) {
+            Some(&(_, true)) => {
+                rest.next();
+            }
+            Some(&(_, false)) => {}
+            None => return Err(format!("unknown flag `{a}` for `lssa {verb}`")),
+        }
+    }
+    Ok(())
+}
+
+fn print_usage() {
+    eprintln!();
+    eprintln!("usage:");
+    eprintln!(
+        "  lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats] [--no-fuse] [--no-renumber] [--no-rc-opt] [--print-ir-after-all] [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]"
+    );
+    eprintln!("  lssa check <file>... [--format human|json]");
+    eprintln!("  lssa lint <file>... [--format human|json]");
+    eprintln!("  lssa fmt <file>... [--write | --check]");
+    eprintln!("  lssa dump <file> [--stage lambda|lp|rgn|opt|cfg]");
+    eprintln!("  lssa diff <file>");
+    eprintln!(
+        "  lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--no-fuse] [--json] [--check] [--tolerance PCT] [--runs N] [--out FILE]"
+    );
+    eprintln!("  lssa bench --diff <old.json> <new.json>");
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(msg) = check_flags(&args) {
+        eprintln!("error: {msg}");
+        print_usage();
+        return ExitCode::from(EXIT_UNKNOWN_FLAG);
+    }
     match run(&args) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("usage:");
-            eprintln!(
-                "  lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats] [--no-fuse] [--no-renumber] [--no-inline-cache] [--no-rc-opt] [--dispatch match|threaded] [--print-ir-after-all] [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]"
-            );
-            eprintln!("  lssa check <file>... [--format human|json]");
-            eprintln!("  lssa lint <file>... [--format human|json]");
-            eprintln!("  lssa fmt <file>... [--write | --check]");
-            eprintln!("  lssa dump <file> [--stage lambda|lp|rgn|opt|cfg]");
-            eprintln!("  lssa diff <file>");
-            eprintln!(
-                "  lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--no-fuse] [--json] [--check] [--tolerance PCT] [--runs N] [--out FILE]"
-            );
-            eprintln!("  lssa bench --diff <old.json> <new.json>");
+            print_usage();
             ExitCode::FAILURE
         }
     }
@@ -134,10 +219,6 @@ fn decode_options(args: &[String]) -> DecodeOptions {
 }
 
 fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
-    let dispatch = match flag_value(args, "--dispatch") {
-        None => DispatchMode::default(),
-        Some(s) => DispatchMode::parse(s).ok_or_else(|| format!("unknown dispatch mode `{s}`"))?,
-    };
     let mut limits = JobLimits::default();
     if let Some(v) = flag_value(args, "--step-budget") {
         let steps = v
@@ -157,10 +238,7 @@ fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
             .map_err(|_| format!("invalid --deadline-ms `{v}`"))?;
         limits = limits.with_deadline(Some(Duration::from_millis(ms)));
     }
-    Ok(ExecOptions::default()
-        .with_dispatch(dispatch)
-        .with_inline_cache(!has_flag(args, "--no-inline-cache"))
-        .with_limits(limits))
+    Ok(ExecOptions::default().with_limits(limits))
 }
 
 fn config_of(name: &str) -> Result<CompilerConfig, String> {
@@ -196,18 +274,15 @@ fn load_lssa(file: &str, src: &str) -> Result<Program, ExitCode> {
 
 /// The non-flag file arguments after the verb, skipping flag values.
 fn file_args(args: &[String]) -> Vec<&str> {
+    let flags = verb_flags(&args[0]).unwrap_or_default();
     let mut files = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--format" || a == "--out" {
-            i += 2;
-            continue;
-        }
+    let mut rest = args[1..].iter();
+    while let Some(a) = rest.next() {
         if !a.starts_with("--") {
-            files.push(a);
+            files.push(a.as_str());
+        } else if flags.contains(&(a.as_str(), true)) {
+            rest.next();
         }
-        i += 1;
     }
     files
 }
@@ -597,24 +672,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 let records = lssa_driver::benchjson::run_suite(&selected, bench_runs, MAX_STEPS);
                 for r in &records {
                     let full = r.row("full").expect("full row");
-                    let base = r.row("base").expect("base row");
                     println!(
-                        "{:20} base {:>9.3}ms   full {:>9.3}ms   speedup {:.3}x   \
-                         ({:>4.1}% fused, {:.1}% cache hits)",
+                        "{:20} full {:>9.3}ms   nofuse/full {:.3}x   norc/full {:.3}x   \
+                         ({:>4.1}% fused)",
                         r.name,
-                        base.wall_ms,
                         full.wall_ms,
-                        r.speedup(),
+                        r.ratio("full_nofuse"),
+                        r.ratio("full_norc"),
                         full.fused_share * 100.0,
-                        100.0 * full.cache_hits as f64
-                            / (full.cache_hits + full.cache_misses).max(1) as f64,
                     );
                 }
-                println!(
-                    "{:20} geomean speedup {:.3}x",
-                    "aggregate",
-                    lssa_driver::benchjson::geomean_speedup(&records)
-                );
                 if let Some(baseline) = baseline {
                     let tolerance = match flag_value(args, "--tolerance") {
                         None => 20.0,

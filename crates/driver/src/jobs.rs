@@ -16,8 +16,8 @@
 //!   so the fault-injection gauntlet can assert zero leaked objects on every
 //!   abort path;
 //! - aborted VMs are then *probed*: faults disarmed, a fresh step allowance
-//!   granted, and the program re-run on the same VM to prove the frame pool,
-//!   inline caches and shared [`DecodedProgram`] survived the abort
+//!   granted, and the program re-run on the same VM to prove the frame pool
+//!   and the shared [`DecodedProgram`] survived the abort
 //!   ([`JobReport::probe_ok`]).
 //!
 //! Batches go through [`run_jobs`], which layers [`BatchRunner`]'s
@@ -216,8 +216,8 @@ pub struct JobSpec {
     pub config: CompilerConfig,
     /// Decode options (fusion, renumbering).
     pub decode: DecodeOptions,
-    /// Execution options: dispatch mode, [`lssa_vm::JobLimits`], and an
-    /// optional [`lssa_vm::FaultPlan`].
+    /// Execution options: [`lssa_vm::JobLimits`] and an optional
+    /// [`lssa_vm::FaultPlan`].
     pub exec: ExecOptions,
     /// Cooperative cancellation token shared with the job's VM.
     pub cancel: Option<CancelToken>,
@@ -354,8 +354,8 @@ fn run_attempt(program: &DecodedProgram, entry: &str, spec: &JobSpec) -> JobRepo
     let mut leaked = settle(&mut vm);
     let probe_ok = if outcome.is_err() {
         // Reuse probe: disarm faults, grant a fresh allowance, and re-run on
-        // the *same* VM — the frame pool, caches and decoded program must
-        // all still work after the abort.
+        // the *same* VM — the frame pool and decoded program must both
+        // still work after the abort.
         vm.clear_fault();
         vm.clear_cancel_token();
         vm.set_step_budget(steps.saturating_add(PROBE_BUDGET));

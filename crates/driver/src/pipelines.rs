@@ -332,7 +332,8 @@ pub fn compile_and_run_ast_opts(
 }
 
 /// [`compile_and_run_ast_opts`] with explicit execution options too — the
-/// fully-parameterized AST entry point behind the dispatch/cache knobs.
+/// fully-parameterized AST entry point (decode knobs and resource
+/// budgets).
 ///
 /// # Errors
 ///
@@ -383,8 +384,8 @@ pub fn compile_and_run_opts(
 }
 
 /// [`compile_and_run_opts`] with explicit execution options too — the
-/// fully-parameterized source entry point (`--dispatch`,
-/// `--no-inline-cache`, `--no-renumber`, `--no-fuse`).
+/// fully-parameterized source entry point (`--no-renumber`, `--no-fuse`,
+/// and the resource budgets).
 ///
 /// # Errors
 ///

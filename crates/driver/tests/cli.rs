@@ -212,17 +212,20 @@ fn bench_json_writes_records() {
     for needle in [
         "\"scale\": \"test\"",
         "\"name\": \"filter\"",
-        "\"base\":",
-        "\"threaded\":",
-        "\"threaded_cache\":",
         "\"full\":",
         "\"full_nofuse\":",
-        "\"cache_hits\":",
-        "\"speedup\":",
-        "\"geomean_speedup\":",
+        "\"full_norc\":",
+        "\"rc_cells\":",
     ] {
         assert!(json.contains(needle), "missing {needle}\n{json}");
     }
+    for retired in ["\"base\":", "\"threaded\":", "cache", "speedup"] {
+        assert!(!json.contains(retired), "retired {retired}\n{json}");
+    }
+    // The table reports `full` with the within-run knob ratios.
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.contains("nofuse/full"), "{table}");
+    assert!(table.contains("norc/full"), "{table}");
     // `bench --check` against the file just written passes (counters are
     // deterministic; the wall tolerance absorbs timer noise).
     let out = lssa()
@@ -500,6 +503,55 @@ fn unknown_command_fails_with_usage() {
     let out = lssa().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+}
+
+/// Flags that no longer exist (or never did) must fail the command with
+/// exit code 2 and name the flag, rather than silently run the default.
+#[test]
+fn unknown_flags_exit_2_and_name_the_flag() {
+    let path = write_temp("flags", PROGRAM);
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/qsort.lssa");
+    let cases: [&[&str]; 5] = [
+        &["run", corpus, "--bogus-flag"],
+        &["run", corpus, "--dispatch", "match"],
+        &["run", corpus, "--no-inline-cache"],
+        &["check", corpus, "--write"],
+        &["bench", "filter", "--scale", "quick", "--backend", "mlir"],
+    ];
+    for args in cases {
+        let out = lssa().args(args).output().unwrap();
+        let flag = args
+            .iter()
+            .find(|a| a.starts_with("--") && **a != "--scale")
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+    }
+    // The decode and compile knobs that remain are still accepted, and a
+    // value-taking flag consumes its value (`--step-budget 1000000`).
+    let out = lssa()
+        .args(["run"])
+        .arg(&path)
+        .args([
+            "--no-fuse",
+            "--no-renumber",
+            "--no-rc-opt",
+            "--step-budget",
+            "1000000",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3");
+    std::fs::remove_file(path).ok();
 }
 
 #[test]

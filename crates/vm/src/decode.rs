@@ -127,10 +127,6 @@ impl DecodeOptions {
     pub(crate) const CACHE_SLOTS: usize = 4;
 }
 
-/// Sentinel for call-shaped instructions without an inline-cache slot
-/// (functions with more than `u16::MAX - 1` call sites stop allocating).
-pub const NO_CACHE: u16 = u16::MAX;
-
 /// A `(offset, len)` window into a function's shared register pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArgSlice {
@@ -370,8 +366,6 @@ pub enum DecodedInstr {
         closure: Reg,
         /// Arguments to add (pool slice).
         args: ArgSlice,
-        /// Inline-cache slot (function-local; [`NO_CACHE`] when absent).
-        cache: u16,
     },
     /// Retain.
     Inc {
@@ -383,20 +377,14 @@ pub enum DecodedInstr {
         /// The object.
         src: Reg,
     },
-    /// Direct call of a user function. The argument slice is flattened
-    /// (like [`DecodedInstr::Pap`]) to make room for the cache slot within
-    /// the 16-byte cell.
+    /// Direct call of a user function.
     Call {
         /// Destination for the result.
         dst: Reg,
         /// VM function index.
         func: u32,
-        /// Arguments: offset into the pool.
-        args_off: u32,
-        /// Arguments: count.
-        args_len: u16,
-        /// Inline-cache slot (function-local; [`NO_CACHE`] when absent).
-        cache: u16,
+        /// Arguments (pool slice).
+        args: ArgSlice,
     },
     /// Call of a runtime builtin.
     CallBuiltin {
@@ -410,17 +398,12 @@ pub enum DecodedInstr {
         /// as the first step of the call (a folded `lp.inc`).
         mask: u8,
     },
-    /// Guaranteed tail call: reuses the current frame in place. Flattened
-    /// argument slice, as in [`DecodedInstr::Call`].
+    /// Guaranteed tail call: reuses the current frame in place.
     TailCall {
         /// VM function index.
         func: u32,
-        /// Arguments: offset into the pool.
-        args_off: u32,
-        /// Arguments: count.
-        args_len: u16,
-        /// Inline-cache slot (function-local; [`NO_CACHE`] when absent).
-        cache: u16,
+        /// Arguments (pool slice).
+        args: ArgSlice,
     },
     /// Return `src` to the caller.
     Ret {
@@ -849,11 +832,6 @@ pub struct DecodedFn {
     /// "decoded opcode" byte the threaded dispatcher indexes its handler
     /// table (and the statistics arrays) with.
     pub classes: Vec<u8>,
-    /// This function's first slot in the program-wide inline-cache pool;
-    /// a call site's global slot is `cache_base + its local cache id`.
-    pub cache_base: u32,
-    /// Number of inline-cache slots this function owns.
-    pub cache_sites: u16,
 }
 
 impl DecodedFn {
@@ -872,8 +850,6 @@ impl DecodedFn {
             args: Vec::new(),
             cases: Vec::new(),
             classes: Vec::new(),
-            cache_base: 0,
-            cache_sites: 0,
         };
         assert!(
             u32::try_from(f.code.len()).is_ok(),
@@ -927,16 +903,12 @@ impl DecodedFn {
                 | DecodedInstr::Move { src, .. }
                 | DecodedInstr::GlobalStore { src, .. } => singles[0] = Some(src),
                 DecodedInstr::Construct { args, .. }
+                | DecodedInstr::Call { args, .. }
+                | DecodedInstr::TailCall { args, .. }
                 | DecodedInstr::CallBuiltin { args, .. }
                 | DecodedInstr::CallBuiltinRet { args, .. }
                 | DecodedInstr::ConstructRet { args, .. } => slice = Some(args),
                 DecodedInstr::Pap {
-                    args_off, args_len, ..
-                }
-                | DecodedInstr::Call {
-                    args_off, args_len, ..
-                }
-                | DecodedInstr::TailCall {
                     args_off, args_len, ..
                 } => {
                     slice = Some(ArgSlice {
@@ -1414,29 +1386,12 @@ impl DecodedFn {
                         len: *args_len,
                     });
                 }
-                DecodedInstr::Call {
-                    dst,
-                    args_off,
-                    args_len,
-                    ..
-                } => {
+                DecodedInstr::Call { dst, args, .. } => {
                     f(dst);
-                    slice = Some(ArgSlice {
-                        off: *args_off,
-                        len: *args_len,
-                    });
+                    slice = Some(*args);
                 }
-                DecodedInstr::TailCall {
-                    args_off, args_len, ..
-                } => {
-                    slice = Some(ArgSlice {
-                        off: *args_off,
-                        len: *args_len,
-                    });
-                }
-                DecodedInstr::PapExtend {
-                    dst, closure, args, ..
-                } => {
+                DecodedInstr::TailCall { args, .. } => slice = Some(*args),
+                DecodedInstr::PapExtend { dst, closure, args } => {
                     f(dst);
                     f(closure);
                     slice = Some(*args);
@@ -1566,32 +1521,6 @@ impl DecodedFn {
         stats
     }
 
-    /// Assigns function-local inline-cache slot ids to the call-shaped
-    /// cells ([`DecodedInstr::Call`]/[`DecodedInstr::PapExtend`]).
-    /// Tail-call cells are deliberately left at [`NO_CACHE`]: a
-    /// `TailCall`'s target is a static function index, so all a hit ever
-    /// bought was skipping one bounds-checked `fns` lookup and an arity
-    /// compare — on `binarytrees` the tail sites hit 94% of the time for
-    /// zero measurable payoff, leaving the probe itself as pure overhead
-    /// (and each skipped site also saves a pool slot per VM instance).
-    /// Sites past `u16::MAX - 1` keep the [`NO_CACHE`] sentinel and
-    /// execute uncached.
-    fn assign_cache_slots(&mut self) {
-        let mut next: u32 = 0;
-        for instr in &mut self.code {
-            if let DecodedInstr::Call { cache, .. } | DecodedInstr::PapExtend { cache, .. } = instr
-            {
-                *cache = if next < u32::from(NO_CACHE) {
-                    next as u16
-                } else {
-                    NO_CACHE
-                };
-                next = next.saturating_add(1);
-            }
-        }
-        self.cache_sites = next.min(u32::from(NO_CACHE)) as u16;
-    }
-
     fn intern_args(&mut self, regs: &[Reg]) -> ArgSlice {
         let off = u32::try_from(self.args.len()).expect("argument pool exhausted");
         let len = u16::try_from(regs.len()).expect("argument list too long");
@@ -1636,7 +1565,6 @@ impl DecodedFn {
                 dst,
                 closure,
                 args: self.intern_args(args),
-                cache: NO_CACHE,
             },
             Instr::Inc { src } => DecodedInstr::Inc { src },
             Instr::Dec { src } => DecodedInstr::Dec { src },
@@ -1644,16 +1572,11 @@ impl DecodedFn {
                 dst,
                 func,
                 ref args,
-            } => {
-                let s = self.intern_args(args);
-                DecodedInstr::Call {
-                    dst,
-                    func,
-                    args_off: s.off,
-                    args_len: s.len,
-                    cache: NO_CACHE,
-                }
-            }
+            } => DecodedInstr::Call {
+                dst,
+                func,
+                args: self.intern_args(args),
+            },
             Instr::CallBuiltin {
                 dst,
                 builtin,
@@ -1665,15 +1588,10 @@ impl DecodedFn {
                 args: self.intern_args(args),
                 mask,
             },
-            Instr::TailCall { func, ref args } => {
-                let s = self.intern_args(args);
-                DecodedInstr::TailCall {
-                    func,
-                    args_off: s.off,
-                    args_len: s.len,
-                    cache: NO_CACHE,
-                }
-            }
+            Instr::TailCall { func, ref args } => DecodedInstr::TailCall {
+                func,
+                args: self.intern_args(args),
+            },
             Instr::Ret { src } => DecodedInstr::Ret { src },
             Instr::Jump { target } => DecodedInstr::Jump {
                 target: t32(target),
@@ -1748,28 +1666,17 @@ impl DecodedFn {
                     len: args_len,
                 }),
             },
-            DecodedInstr::PapExtend {
-                dst, closure, args, ..
-            } => Instr::PapExtend {
+            DecodedInstr::PapExtend { dst, closure, args } => Instr::PapExtend {
                 dst,
                 closure,
                 args: regs(args),
             },
             DecodedInstr::Inc { src } => Instr::Inc { src },
             DecodedInstr::Dec { src } => Instr::Dec { src },
-            DecodedInstr::Call {
+            DecodedInstr::Call { dst, func, args } => Instr::Call {
                 dst,
                 func,
-                args_off,
-                args_len,
-                ..
-            } => Instr::Call {
-                dst,
-                func,
-                args: regs(ArgSlice {
-                    off: args_off,
-                    len: args_len,
-                }),
+                args: regs(args),
             },
             DecodedInstr::CallBuiltin {
                 dst,
@@ -1782,17 +1689,9 @@ impl DecodedFn {
                 args: regs(args),
                 mask,
             },
-            DecodedInstr::TailCall {
+            DecodedInstr::TailCall { func, args } => Instr::TailCall {
                 func,
-                args_off,
-                args_len,
-                ..
-            } => Instr::TailCall {
-                func,
-                args: regs(ArgSlice {
-                    off: args_off,
-                    len: args_len,
-                }),
+                args: regs(args),
             },
             DecodedInstr::Ret { src } => Instr::Ret { src },
             DecodedInstr::Jump { target } => Instr::Jump {
@@ -1867,9 +1766,6 @@ pub struct DecodedProgram {
     /// What the register-renumbering pass did, summed over all functions
     /// (all zeros when [`DecodeOptions::renumber`] is off).
     pub renumber: RenumberStats,
-    /// Total inline-cache slots across all functions (sizes the VM's
-    /// per-instance cache pool).
-    pub cache_slots: u32,
 }
 
 impl DecodedProgram {
@@ -1886,7 +1782,6 @@ impl DecodedProgram {
 pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> DecodedProgram {
     let mut fusion = FusionStats::default();
     let mut renumber = RenumberStats::default();
-    let mut cache_slots: u32 = 0;
     let fns = program
         .fns
         .iter()
@@ -1898,11 +1793,6 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
             if opts.renumber {
                 renumber.absorb(&d.renumber());
             }
-            d.assign_cache_slots();
-            d.cache_base = cache_slots;
-            cache_slots = cache_slots
-                .checked_add(u32::from(d.cache_sites))
-                .expect("inline-cache pool exhausted");
             d.classes = d.code.iter().map(|i| i.class() as u8).collect();
             d
         })
@@ -1914,7 +1804,6 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
         globals: program.globals.clone(),
         fusion,
         renumber,
-        cache_slots,
     }
 }
 
@@ -1960,19 +1849,10 @@ mod tests {
             panic!("expected construct");
         };
         assert_eq!(d.arg_regs(args), &[Reg(0), Reg(1)]);
-        let DecodedInstr::Call {
-            args_off, args_len, ..
-        } = d.code[1]
-        else {
+        let DecodedInstr::Call { args, .. } = d.code[1] else {
             panic!("expected call");
         };
-        assert_eq!(
-            d.arg_regs(ArgSlice {
-                off: args_off,
-                len: args_len
-            }),
-            &[Reg(2), Reg(3), Reg(0)]
-        );
+        assert_eq!(d.arg_regs(args), &[Reg(2), Reg(3), Reg(0)]);
     }
 
     #[test]
@@ -2010,52 +1890,6 @@ mod tests {
         for c in OpClass::ALL {
             assert_eq!(c.is_fused(), c as usize >= first_fused, "{}", c.name());
         }
-    }
-
-    #[test]
-    fn tail_call_cells_get_no_cache_slot() {
-        // Only `Call`/`PapExtend` sites earn inline-cache slots; tail
-        // calls keep the sentinel and consume no pool space.
-        let p = CompiledProgram {
-            fns: vec![CompiledFn {
-                name: "f".into(),
-                arity: 1,
-                n_regs: 3,
-                code: vec![
-                    Instr::Call {
-                        dst: Reg(1),
-                        func: 0,
-                        args: vec![Reg(0)],
-                    },
-                    Instr::PapExtend {
-                        dst: Reg(2),
-                        closure: Reg(1),
-                        args: vec![Reg(0)],
-                    },
-                    Instr::TailCall {
-                        func: 0,
-                        args: vec![Reg(2)],
-                    },
-                ],
-            }],
-            ..CompiledProgram::default()
-        };
-        let d = decode_program_with(&p, DecodeOptions::fused());
-        let f = &d.fns[0];
-        let (mut call, mut pap, mut tail) = (None, None, None);
-        for i in &f.code {
-            match *i {
-                DecodedInstr::Call { cache, .. } => call = Some(cache),
-                DecodedInstr::PapExtend { cache, .. } => pap = Some(cache),
-                DecodedInstr::TailCall { cache, .. } => tail = Some(cache),
-                _ => {}
-            }
-        }
-        assert_eq!(call, Some(0));
-        assert_eq!(pap, Some(1));
-        assert_eq!(tail, Some(NO_CACHE), "tail sites must keep the sentinel");
-        assert_eq!(f.cache_sites, 2, "tail site must not consume a pool slot");
-        assert_eq!(d.cache_slots, 2);
     }
 
     // ---- fusion pass ----

@@ -17,36 +17,23 @@
 //!   `PassStatistics`), giving a deterministic performance metric alongside
 //!   wall-clock time.
 //!
-//! ## Dispatch modes
+//! ## The threaded loop
 //!
-//! Two interpreter loops execute the same decoded stream and are required
-//! to be observably identical (results, statistics, error messages — the
-//! dispatch differential matrix pins this):
-//!
-//! - [`DispatchMode::Match`] — the single big `match` loop, kept verbatim
-//!   as the measurable baseline;
-//! - [`DispatchMode::Threaded`] (default) — a threaded loop that caches the
-//!   program counter and the current frame in locals for the lifetime of an
-//!   *activation* (the stretch of instructions between frame transitions),
-//!   keeps the hot opcodes — arithmetic, branches, constants, moves, the
-//!   loop-header/tail superinstructions, calls and returns — on an inlined
-//!   fast path, and dispatches the cold classes (allocation, globals, rare
-//!   arithmetic) through a function-pointer table indexed by the decoded
-//!   opcode-class byte ([`crate::decode::DecodedFn::classes`]), one
-//!   `#[inline(never)]` handler per cold class.
-//!
-//! On top of either loop, **inline caches** ([`ExecOptions::inline_cache`])
-//! give every `Call`/`TailCall`/`PapExtend` site a [`CacheSlot`]: the first
-//! successful execution proves the target's function index and arity, and
-//! repeat executions skip the function lookup, the arity re-check and — for
-//! `PapExtend` at exact saturation of an unapplied closure — the whole
-//! closure unpack and argument `Vec` build. Monomorphic hit/miss counters
-//! land in [`VmStatistics`].
+//! One interpreter loop executes the decoded stream. It caches the program
+//! counter and the current frame in locals for the lifetime of an
+//! *activation* (the stretch of instructions between frame transitions),
+//! keeps the hot opcodes — arithmetic, branches, constants, moves, the
+//! loop-header/tail superinstructions, calls and returns — on an inlined
+//! fast path, and dispatches the cold classes (allocation, globals, rare
+//! arithmetic) through a function-pointer table indexed by the decoded
+//! opcode-class byte ([`crate::decode::DecodedFn::classes`]), one
+//! `#[inline(never)]` handler per cold class. `Call` and `TailCall` cells
+//! validate their static target on every execution; a `PapExtend` of an
+//! unapplied closure at exact saturation skips the closure unpack and goes
+//! straight to the call.
 
 use crate::bytecode::{CompiledProgram, Reg};
-use crate::decode::{
-    ArgSlice, DecodeOptions, DecodedFn, DecodedInstr, DecodedProgram, OpClass, NO_CACHE,
-};
+use crate::decode::{ArgSlice, DecodeOptions, DecodedFn, DecodedInstr, DecodedProgram, OpClass};
 use lssa_rt::object::{MAX_SMALL_INT, MAX_SMALL_NAT, MIN_SMALL_INT};
 use lssa_rt::{
     pap_extend, pap_new, ApplyOutcome, Builtin, FuncId, Heap, HeapStats, Int, ObjData, ObjRef,
@@ -56,42 +43,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which interpreter loop executes the decoded stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The single big `match` loop (the PR 5 baseline).
-    Match,
-    /// The threaded loop: per-activation locals, hot ops inlined, cold
-    /// classes through the handler table (the default).
-    #[default]
-    Threaded,
-}
-
-impl DispatchMode {
-    /// Parses a `--dispatch` argument value.
-    pub fn parse(s: &str) -> Option<DispatchMode> {
-        match s {
-            "match" => Some(DispatchMode::Match),
-            "threaded" => Some(DispatchMode::Threaded),
-            _ => None,
-        }
-    }
-
-    /// Stable display name (the `--dispatch` argument values).
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchMode::Match => "match",
-            DispatchMode::Threaded => "threaded",
-        }
-    }
-}
-
 /// Per-job resource limits, threaded through [`ExecOptions`] into the VM.
 ///
 /// Every limit defaults to "unlimited". Steps, heap bytes and frame depth
-/// are deterministic (counted in VM events, identical across dispatch
-/// modes); the deadline is wall-clock and therefore host-dependent — use it
-/// for operational protection, not for reproducible failures.
+/// are deterministic (counted in VM events); the deadline is wall-clock
+/// and therefore host-dependent — use it for operational protection, not
+/// for reproducible failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobLimits {
     /// Maximum instructions executed (`u64::MAX` = unlimited). Combined
@@ -142,8 +99,7 @@ impl JobLimits {
 /// A deterministic fault-injection plan, for exercising the abort paths.
 ///
 /// All trigger points are counted in VM events (steps or allocations), so a
-/// plan produces the identical failure at the identical point on every run
-/// and under every dispatch mode.
+/// plan produces the identical failure at the identical point on every run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Force step-budget exhaustion once this many instructions executed.
@@ -188,44 +144,15 @@ impl CancelToken {
 
 /// Execution-time options (the run-side sibling of
 /// [`crate::decode::DecodeOptions`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Which interpreter loop to run.
-    pub dispatch: DispatchMode,
-    /// Use the per-call-site inline caches (default on; `--no-inline-cache`
-    /// disables them for ablation).
-    pub inline_cache: bool,
     /// Per-job resource limits (default: unlimited).
     pub limits: JobLimits,
     /// Deterministic fault injection (default: none).
     pub fault: FaultPlan,
 }
 
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            dispatch: DispatchMode::Threaded,
-            inline_cache: true,
-            limits: JobLimits::default(),
-            fault: FaultPlan::default(),
-        }
-    }
-}
-
 impl ExecOptions {
-    /// Same options with the dispatch mode replaced.
-    pub fn with_dispatch(self, dispatch: DispatchMode) -> ExecOptions {
-        ExecOptions { dispatch, ..self }
-    }
-
-    /// Same options with the inline caches toggled.
-    pub fn with_inline_cache(self, inline_cache: bool) -> ExecOptions {
-        ExecOptions {
-            inline_cache,
-            ..self
-        }
-    }
-
     /// Same options with the resource limits replaced.
     pub fn with_limits(self, limits: JobLimits) -> ExecOptions {
         ExecOptions { limits, ..self }
@@ -242,42 +169,6 @@ impl ExecOptions {
 /// armed. The hot loops compare `steps` against a precomputed `stop_at`, so
 /// polling costs nothing on the per-instruction path.
 const POLL_INTERVAL: u64 = 1024;
-
-/// Inline-cache slot states (see [`CacheSlot::state`]).
-const SLOT_COLD: u8 = 0;
-const SLOT_CALL: u8 = 1;
-const SLOT_PAP: u8 = 2;
-
-/// One per-call-site inline cache cell. Slots live in a per-[`Vm`] pool
-/// (sized by [`DecodedProgram::cache_slots`]) so the shared, memoized
-/// decoded program stays immutable.
-///
-/// A `Call`/`TailCall` site caches the proof that its (static) target
-/// index and argument count validated, plus the callee's register-file
-/// size; a `PapExtend` site caches the function id and arity of the last
-/// unapplied closure invoked at exact saturation.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheSlot {
-    /// Cached target function (VM index). Meaningful for `SLOT_PAP`.
-    func: u32,
-    /// Cached target arity.
-    arity: u16,
-    /// Cached target register-file size (what the frame resize needs).
-    n_regs: u16,
-    /// `SLOT_COLD` until the first successful execution.
-    state: u8,
-}
-
-impl Default for CacheSlot {
-    fn default() -> CacheSlot {
-        CacheSlot {
-            func: 0,
-            arity: 0,
-            n_regs: 0,
-            state: SLOT_COLD,
-        }
-    }
-}
 
 /// Structured classification of a [`VmError`] — what killed the run, as a
 /// machine-readable kind alongside the human-readable message.
@@ -410,12 +301,6 @@ pub struct VmStatistics {
     /// Superinstruction cells in the decoded stream (static count; 0 when
     /// decoded with `--no-fuse`).
     pub fused_cells: u64,
-    /// Inline-cache monomorphic hits (call sites that skipped the target
-    /// lookup / closure unpack; 0 with `--no-inline-cache`).
-    pub cache_hits: u64,
-    /// Inline-cache misses (cold or megamorphic sites that took the full
-    /// validation path).
-    pub cache_misses: u64,
     /// Widest register file wired to any frame (post-renumbering width).
     pub max_frame_width: u64,
     /// Bytes retained by the frame pool's register files at the end of the
@@ -475,23 +360,11 @@ impl VmStatistics {
         self.frame_reuses += other.frame_reuses;
         self.tail_frame_reuses += other.tail_frame_reuses;
         self.fused_cells += other.fused_cells;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.max_frame_width = self.max_frame_width.max(other.max_frame_width);
         self.frame_pool_bytes = self.frame_pool_bytes.max(other.frame_pool_bytes);
         self.regs_saved += other.regs_saved;
         self.duration += other.duration;
         self.heap.absorb(&other.heap);
-    }
-
-    /// Inline-cache hit rate over all probed call sites (0..=1).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / probes as f64
-        }
     }
 
     /// Renders the per-opcode-class table (the payload behind
@@ -544,13 +417,6 @@ impl VmStatistics {
         );
         let _ = writeln!(
             out,
-            "  caches: {} monomorphic hits, {} misses ({:.1}% hit rate)",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0,
-        );
-        let _ = writeln!(
-            out,
             "  fused: {} superinstruction cells decoded, {:.1}% of executed cells were fused",
             self.fused_cells,
             self.fused_share() * 100.0,
@@ -586,7 +452,7 @@ pub struct RunOutcome {
 /// retained across reuses, so a recycled frame allocates only when it is
 /// wired to a function *wider* than any it has held before — steady-state
 /// loops (same functions over and over) make zero heap allocations per
-/// iteration, under either dispatch mode. Register renumbering
+/// iteration. Register renumbering
 /// ([`crate::decode::DecodeOptions::renumber`]) shrinks those widths to the
 /// referenced-register count, so the pool both grows less often and
 /// retains less.
@@ -701,8 +567,6 @@ pub struct Vm<'p> {
     frame_allocs: u64,
     frame_reuses: u64,
     tail_frame_reuses: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     max_frame_width: u64,
     exec_time: Duration,
     /// Frame pool; `stack` holds indices into it, `free` the recyclable ones.
@@ -713,9 +577,6 @@ pub struct Vm<'p> {
     scratch: Vec<u64>,
     /// Object-argument staging buffer for builtin calls, reused likewise.
     scratch_objs: Vec<ObjRef>,
-    /// Inline-cache pool, one [`CacheSlot`] per cached call site
-    /// (program-wide indexing via [`DecodedFn::cache_base`]).
-    caches: Vec<CacheSlot>,
     opts: ExecOptions,
     /// Frame-depth cap from [`JobLimits::max_depth`].
     depth_limit: u64,
@@ -738,7 +599,7 @@ pub struct Vm<'p> {
 
 impl<'p> Vm<'p> {
     /// Creates a VM for a decoded `program` with a step budget, under the
-    /// default execution options (threaded dispatch, inline caches on).
+    /// default execution options (no limits, no faults).
     pub fn new(program: &'p DecodedProgram, max_steps: u64) -> Vm<'p> {
         Vm::with_options(program, max_steps, ExecOptions::default())
     }
@@ -766,8 +627,6 @@ impl<'p> Vm<'p> {
             frame_allocs: 0,
             frame_reuses: 0,
             tail_frame_reuses: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             max_frame_width: 0,
             exec_time: Duration::ZERO,
             pool: Vec::new(),
@@ -775,7 +634,6 @@ impl<'p> Vm<'p> {
             stack: Vec::new(),
             scratch: Vec::new(),
             scratch_objs: Vec::new(),
-            caches: vec![CacheSlot::default(); program.cache_slots as usize],
             opts,
             depth_limit: opts.limits.max_depth,
             deadline: None,
@@ -820,8 +678,8 @@ impl<'p> Vm<'p> {
 
     /// Recycles every residual frame, resets the globals, and force-frees
     /// all live heap objects — the drop-all cleanup after an aborted run
-    /// (error or caught panic), after which the VM (frame pool, caches and
-    /// the shared decoded program) is reusable for the next job. Returns the
+    /// (error or caught panic), after which the VM (frame pool and the
+    /// shared decoded program) is reusable for the next job. Returns the
     /// number of heap objects reclaimed.
     pub fn purge(&mut self) -> u64 {
         while let Some(fi) = self.stack.pop() {
@@ -863,7 +721,8 @@ impl<'p> Vm<'p> {
     /// The slow half of the budget check, entered when `steps` reaches
     /// `stop_at`: decides between a structured abort, an injected fault and
     /// simply scheduling the next checkpoint. Consumes no steps and mutates
-    /// no statistics, so dispatch modes stay observably identical.
+    /// no statistics, so arming a poll leaves results and counters as they
+    /// are.
     #[cold]
     #[inline(never)]
     fn checkpoint(&mut self) -> Result<(), VmError> {
@@ -915,16 +774,13 @@ impl<'p> Vm<'p> {
             self.refresh_schedule();
         }
         let start = Instant::now();
-        let result = match self.opts.dispatch {
-            DispatchMode::Match => self.run_match(idx, args),
-            DispatchMode::Threaded => self.run_threaded(idx, args),
-        };
+        let result = self.run_threaded(idx, args);
         self.exec_time += start.elapsed();
         result
     }
 
     /// Returns any residue of a previous errored run to the free list,
-    /// then stages and pushes the entry frame (shared run prologue).
+    /// then stages and pushes the entry frame (the run prologue).
     fn enter(&mut self, idx: usize, args: &[ObjRef]) -> Result<(), VmError> {
         while let Some(fi) = self.stack.pop() {
             self.pool[fi as usize].after_ret.clear();
@@ -936,550 +792,7 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// The program-wide inline-cache slot of a call site, or `None` when
-    /// the site has no slot or caching is disabled.
-    #[inline]
-    fn cache_slot(opts: ExecOptions, f: &DecodedFn, cache: u16) -> Option<usize> {
-        if opts.inline_cache && cache != NO_CACHE {
-            Some(f.cache_base as usize + cache as usize)
-        } else {
-            None
-        }
-    }
-
-    /// The single big `match` interpreter loop ([`DispatchMode::Match`]).
-    fn run_match(&mut self, idx: usize, args: Vec<ObjRef>) -> Result<ObjRef, VmError> {
-        self.enter(idx, &args)?;
-        let prog = self.program;
-        loop {
-            self.max_depth = self.max_depth.max(self.stack.len() as u64);
-            if self.steps >= self.stop_at {
-                self.checkpoint()?;
-            }
-            self.steps += 1;
-            let fi = *self.stack.last().expect("empty stack") as usize;
-            let frame = &mut self.pool[fi];
-            let f = &prog.fns[frame.func as usize];
-            let pc = frame.pc as usize;
-            let instr = *f
-                .code
-                .get(pc)
-                .ok_or_else(|| err(format!("pc out of range in @{}", f.name)))?;
-            frame.pc = pc as u32 + 1;
-            self.executed[instr.class() as usize] += 1;
-            match instr {
-                DecodedInstr::ConstInt { dst, v } => frame.regs[dst.0 as usize] = v as u64,
-                DecodedInstr::LpInt { dst, v } => {
-                    frame.regs[dst.0 as usize] = ObjRef::scalar(v).to_bits();
-                }
-                DecodedInstr::LpBig { dst, idx } => {
-                    let a0 = self.heap.alloc_count();
-                    let n = prog.big_pool[idx as usize].clone();
-                    frame.regs[dst.0 as usize] = self.heap.mk_nat(n).to_bits();
-                    self.class_allocs[OpClass::Alloc as usize] += self.heap.alloc_count() - a0;
-                }
-                DecodedInstr::LpStr { dst, idx } => {
-                    let s = prog.str_pool[idx as usize].clone();
-                    frame.regs[dst.0 as usize] = self.heap.alloc_str(s).to_bits();
-                    self.class_allocs[OpClass::Alloc as usize] += 1;
-                }
-                DecodedInstr::Construct { dst, tag, args } => {
-                    let fields: Vec<ObjRef> = f
-                        .arg_regs(args)
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    frame.regs[dst.0 as usize] = self.heap.alloc_ctor(tag, fields).to_bits();
-                    self.class_allocs[OpClass::Alloc as usize] += 1;
-                }
-                DecodedInstr::GetLabel { dst, src } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    frame.regs[dst.0 as usize] = self.heap.ctor_tag(o) as u64;
-                }
-                DecodedInstr::Project { dst, src, idx } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    frame.regs[dst.0 as usize] = self.heap.ctor_field(o, idx as usize).to_bits();
-                }
-                DecodedInstr::Pap {
-                    dst,
-                    func,
-                    arity,
-                    args_off,
-                    args_len,
-                } => {
-                    let vals: Vec<ObjRef> = f
-                        .arg_regs(crate::decode::ArgSlice {
-                            off: args_off,
-                            len: args_len,
-                        })
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    let a0 = self.heap.alloc_count();
-                    let outcome = pap_new(&mut self.heap, FuncId(func), arity, vals);
-                    self.class_allocs[OpClass::Closure as usize] += self.heap.alloc_count() - a0;
-                    self.apply(dst, outcome)?;
-                }
-                DecodedInstr::PapExtend {
-                    dst,
-                    closure,
-                    args,
-                    cache,
-                } => {
-                    let c = ObjRef::from_bits(frame.regs[closure.0 as usize]);
-                    // One unpack serves the type check, the cache probe and
-                    // the fill: an *unapplied* closure is the cacheable shape.
-                    let probe = match *self.heap.data(c) {
-                        ObjData::Closure {
-                            func,
-                            arity,
-                            args: ref applied,
-                        } => {
-                            if applied.is_empty() {
-                                Some((func, arity))
-                            } else {
-                                None
-                            }
-                        }
-                        _ => return Err(err("papextend of a non-closure value")),
-                    };
-                    let slot = Self::cache_slot(self.opts, f, cache);
-                    if let (Some(g), Some((func, arity))) = (slot, probe) {
-                        let s = self.caches[g];
-                        if s.state == SLOT_PAP
-                            && s.func == func.0
-                            && s.arity == arity
-                            && arity == args.len
-                        {
-                            // Monomorphic hit at exact saturation: the
-                            // semantics collapse to "release the closure,
-                            // call the target" — skip the argument `Vec`
-                            // build and the runtime's unpack/re-check.
-                            self.cache_hits += 1;
-                            let scratch = &mut self.scratch;
-                            scratch.clear();
-                            scratch
-                                .extend(f.arg_regs(args).iter().map(|&r| frame.regs[r.0 as usize]));
-                            self.heap.dec(c);
-                            let nfi = self.push_frame_fast(s.func, s.n_regs, dst)?;
-                            self.stack.push(nfi);
-                            continue;
-                        }
-                    }
-                    if let Some(g) = slot {
-                        self.cache_misses += 1;
-                        // Remember the shape (validated against the target)
-                        // before `pap_extend` consumes the closure.
-                        if let Some((func, arity)) = probe {
-                            if arity == args.len {
-                                if let Some(t) = self.program.fns.get(func.0 as usize) {
-                                    if t.arity == arity {
-                                        self.caches[g] = CacheSlot {
-                                            func: func.0,
-                                            arity,
-                                            n_regs: t.n_regs,
-                                            state: SLOT_PAP,
-                                        };
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let vals: Vec<ObjRef> = f
-                        .arg_regs(args)
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    let a0 = self.heap.alloc_count();
-                    let outcome = pap_extend(&mut self.heap, c, vals);
-                    self.class_allocs[OpClass::Closure as usize] += self.heap.alloc_count() - a0;
-                    self.apply(dst, outcome)?;
-                }
-                DecodedInstr::Inc { src } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    self.heap.inc(o);
-                }
-                DecodedInstr::Dec { src } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    self.heap.dec(o);
-                }
-                DecodedInstr::Call {
-                    dst,
-                    func,
-                    args_off,
-                    args_len,
-                    cache,
-                } => {
-                    let scratch = &mut self.scratch;
-                    scratch.clear();
-                    scratch.extend(
-                        f.arg_regs(ArgSlice {
-                            off: args_off,
-                            len: args_len,
-                        })
-                        .iter()
-                        .map(|&r| frame.regs[r.0 as usize]),
-                    );
-                    // The target index and argument count are static, so
-                    // one successful validation proves the site forever.
-                    let slot = Self::cache_slot(self.opts, f, cache);
-                    let nfi = match slot {
-                        Some(g) if self.caches[g].state == SLOT_CALL => {
-                            self.cache_hits += 1;
-                            let n_regs = self.caches[g].n_regs;
-                            self.push_frame_fast(func, n_regs, dst)?
-                        }
-                        _ => {
-                            if let Some(g) = slot {
-                                self.cache_misses += 1;
-                                let nfi = self.alloc_frame(func as usize, dst)?;
-                                let t = &self.program.fns[func as usize];
-                                self.caches[g] = CacheSlot {
-                                    func,
-                                    arity: t.arity,
-                                    n_regs: t.n_regs,
-                                    state: SLOT_CALL,
-                                };
-                                nfi
-                            } else {
-                                self.alloc_frame(func as usize, dst)?
-                            }
-                        }
-                    };
-                    self.stack.push(nfi);
-                }
-                DecodedInstr::CallBuiltin {
-                    dst,
-                    builtin,
-                    args,
-                    mask,
-                } => {
-                    // Builtins take a slice, so the arguments stage through
-                    // a reused buffer — no allocation per call.
-                    let vals = &mut self.scratch_objs;
-                    vals.clear();
-                    vals.extend(
-                        f.arg_regs(args)
-                            .iter()
-                            .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
-                    );
-                    // Folded retains (rc-opt borrow mask) come first, as
-                    // the elided `lp.inc`s would have.
-                    if mask != 0 {
-                        for (i, &v) in self.scratch_objs.iter().enumerate() {
-                            if mask & (1 << i) != 0 {
-                                self.heap.inc(v);
-                            }
-                        }
-                    }
-                    self.calls += 1;
-                    let a0 = self.heap.alloc_count();
-                    let out = builtin.call(&mut self.heap, &self.scratch_objs);
-                    self.class_allocs[OpClass::CallBuiltin as usize] +=
-                        self.heap.alloc_count() - a0;
-                    self.pool[fi].regs[dst.0 as usize] = out.to_bits();
-                }
-                DecodedInstr::TailCall {
-                    func,
-                    args_off,
-                    args_len,
-                    cache,
-                } => {
-                    let args = ArgSlice {
-                        off: args_off,
-                        len: args_len,
-                    };
-                    let slot = Self::cache_slot(self.opts, f, cache);
-                    let n_regs = match slot {
-                        Some(g) if self.caches[g].state == SLOT_CALL => {
-                            self.cache_hits += 1;
-                            self.caches[g].n_regs
-                        }
-                        _ => {
-                            if slot.is_some() {
-                                self.cache_misses += 1;
-                            }
-                            let target = prog
-                                .fns
-                                .get(func as usize)
-                                .ok_or_else(|| err(format!("bad function index {func}")))?;
-                            if args.len as usize != target.arity as usize {
-                                return Err(err(format!(
-                                    "@{} called with {} args (arity {})",
-                                    target.name, args.len, target.arity
-                                )));
-                            }
-                            if let Some(g) = slot {
-                                self.caches[g] = CacheSlot {
-                                    func,
-                                    arity: target.arity,
-                                    n_regs: target.n_regs,
-                                    state: SLOT_CALL,
-                                };
-                            }
-                            target.n_regs
-                        }
-                    };
-                    self.calls += 1;
-                    self.tail_frame_reuses += 1;
-                    // Copy the outgoing arguments aside, then reuse the
-                    // register file in place: constant stack space and,
-                    // once the buffers are warm, zero heap allocation.
-                    let scratch = &mut self.scratch;
-                    scratch.clear();
-                    scratch.extend(f.arg_regs(args).iter().map(|&r| frame.regs[r.0 as usize]));
-                    wire_regs(&mut frame.regs, scratch, n_regs);
-                    frame.func = func;
-                    frame.pc = 0;
-                    self.max_frame_width = self.max_frame_width.max(u64::from(n_regs));
-                    // `ret_dst` and `after_ret` carry over unchanged.
-                }
-                DecodedInstr::Ret { src } => {
-                    let bits = frame.regs[src.0 as usize];
-                    if let Some(value) = self.do_ret(fi, bits)? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::Jump { target } => frame.pc = target,
-                DecodedInstr::Branch {
-                    cond,
-                    then_t,
-                    else_t,
-                } => {
-                    frame.pc = if frame.regs[cond.0 as usize] != 0 {
-                        then_t
-                    } else {
-                        else_t
-                    };
-                }
-                DecodedInstr::Switch {
-                    idx,
-                    cases,
-                    default,
-                } => {
-                    let v = frame.regs[idx.0 as usize] as i64;
-                    frame.pc = f.cases[cases.range()]
-                        .iter()
-                        .find(|&&(c, _)| c == v)
-                        .map(|&(_, t)| t)
-                        .unwrap_or(default);
-                }
-                DecodedInstr::Bin { op, dst, a, b } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    let v = op
-                        .eval(x, y)
-                        .ok_or_else(|| err("integer division by zero"))?;
-                    frame.regs[dst.0 as usize] = v as u64;
-                }
-                DecodedInstr::Cmp { pred, dst, a, b } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    frame.regs[dst.0 as usize] = pred.eval(x, y) as u64;
-                }
-                DecodedInstr::Select { dst, c, a, b } => {
-                    let v = if frame.regs[c.0 as usize] != 0 {
-                        frame.regs[a.0 as usize]
-                    } else {
-                        frame.regs[b.0 as usize]
-                    };
-                    frame.regs[dst.0 as usize] = v;
-                }
-                DecodedInstr::Mask { dst, src, mask } => {
-                    frame.regs[dst.0 as usize] = frame.regs[src.0 as usize] & mask;
-                }
-                DecodedInstr::Move { dst, src } => {
-                    frame.regs[dst.0 as usize] = frame.regs[src.0 as usize];
-                }
-                DecodedInstr::GlobalLoad { dst, idx } => {
-                    frame.regs[dst.0 as usize] = self.globals[idx as usize].to_bits();
-                }
-                DecodedInstr::GlobalStore { idx, src } => {
-                    self.globals[idx as usize] = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                }
-                DecodedInstr::Trap => {
-                    return Err(err(format!("reached unreachable code in @{}", f.name)))
-                }
-                DecodedInstr::CmpBr {
-                    pred,
-                    a,
-                    b,
-                    then_t,
-                    else_t,
-                } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    frame.pc = if pred.eval(x, y) { then_t } else { else_t };
-                }
-                DecodedInstr::ConstCmpBr {
-                    pred,
-                    a,
-                    imm,
-                    then_t,
-                    else_t,
-                } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    frame.pc = if pred.eval(x, i64::from(imm)) {
-                        then_t
-                    } else {
-                        else_t
-                    };
-                }
-                DecodedInstr::ConstBin {
-                    op,
-                    imm_rhs,
-                    dst,
-                    src,
-                    imm,
-                } => {
-                    let s = frame.regs[src.0 as usize] as i64;
-                    let (x, y) = if imm_rhs { (s, imm) } else { (imm, s) };
-                    let v = op
-                        .eval(x, y)
-                        .ok_or_else(|| err("integer division by zero"))?;
-                    frame.regs[dst.0 as usize] = v as u64;
-                }
-                DecodedInstr::BinRet { op, a, b } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    let v = op
-                        .eval(x, y)
-                        .ok_or_else(|| err("integer division by zero"))?;
-                    if let Some(value) = self.do_ret(fi, v as u64)? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::MovRet { src } => {
-                    let bits = frame.regs[src.0 as usize];
-                    if let Some(value) = self.do_ret(fi, bits)? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::ConstRet { v } => {
-                    if let Some(value) = self.do_ret(fi, ObjRef::scalar(v).to_bits())? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::ProjInc { dst, src, idx } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    let field = self.heap.ctor_field(o, idx as usize);
-                    self.heap.inc(field);
-                    frame.regs[dst.0 as usize] = field.to_bits();
-                }
-                DecodedInstr::Dec2 { a, b } => {
-                    let oa = ObjRef::from_bits(frame.regs[a.0 as usize]);
-                    self.heap.dec(oa);
-                    let ob = ObjRef::from_bits(frame.regs[b.0 as usize]);
-                    self.heap.dec(ob);
-                }
-                DecodedInstr::ProjInc2 {
-                    dst1,
-                    src1,
-                    idx1,
-                    dst2,
-                    src2,
-                    idx2,
-                } => {
-                    // In-order: the first group's write lands before the
-                    // second's read (src2 may name dst1).
-                    let o1 = ObjRef::from_bits(frame.regs[src1.0 as usize]);
-                    let f1 = self.heap.ctor_field(o1, idx1 as usize);
-                    self.heap.inc(f1);
-                    frame.regs[dst1.0 as usize] = f1.to_bits();
-                    let o2 = ObjRef::from_bits(frame.regs[src2.0 as usize]);
-                    let f2 = self.heap.ctor_field(o2, idx2 as usize);
-                    self.heap.inc(f2);
-                    frame.regs[dst2.0 as usize] = f2.to_bits();
-                }
-                DecodedInstr::Dec4 { a, b, c, d } => {
-                    for r in [a, b, c, d] {
-                        let o = ObjRef::from_bits(frame.regs[r.0 as usize]);
-                        self.heap.dec(o);
-                    }
-                }
-                DecodedInstr::ProjInc2Dec {
-                    dst1,
-                    src1,
-                    idx1,
-                    dst2,
-                    src2,
-                    idx2,
-                    dec,
-                } => {
-                    // Same ordering as ProjInc2; the release runs last, so
-                    // the projected fields are already retained when the
-                    // scrutinee (often `dec`'s target) drops.
-                    let o1 = ObjRef::from_bits(frame.regs[src1.0 as usize]);
-                    let f1 = self.heap.ctor_field(o1, idx1 as usize);
-                    self.heap.inc(f1);
-                    frame.regs[dst1.0 as usize] = f1.to_bits();
-                    let o2 = ObjRef::from_bits(frame.regs[src2.0 as usize]);
-                    let f2 = self.heap.ctor_field(o2, idx2 as usize);
-                    self.heap.inc(f2);
-                    frame.regs[dst2.0 as usize] = f2.to_bits();
-                    let rel = ObjRef::from_bits(frame.regs[dec.0 as usize]);
-                    self.heap.dec(rel);
-                }
-                DecodedInstr::CallBuiltinRet {
-                    builtin,
-                    args,
-                    mask,
-                } => {
-                    let vals = &mut self.scratch_objs;
-                    vals.clear();
-                    vals.extend(
-                        f.arg_regs(args)
-                            .iter()
-                            .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
-                    );
-                    if mask != 0 {
-                        for (i, &v) in self.scratch_objs.iter().enumerate() {
-                            if mask & (1 << i) != 0 {
-                                self.heap.inc(v);
-                            }
-                        }
-                    }
-                    self.calls += 1;
-                    let a0 = self.heap.alloc_count();
-                    let out = builtin.call(&mut self.heap, &self.scratch_objs);
-                    self.class_allocs[OpClass::FusedCallBuiltinRet as usize] +=
-                        self.heap.alloc_count() - a0;
-                    if let Some(value) = self.do_ret(fi, out.to_bits())? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::ConstructRet { tag, args } => {
-                    let fields: Vec<ObjRef> = f
-                        .arg_regs(args)
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    let obj = self.heap.alloc_ctor(tag, fields);
-                    self.class_allocs[OpClass::FusedConstructRet as usize] += 1;
-                    if let Some(value) = self.do_ret(fi, obj.to_bits())? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::SwitchDense {
-                    idx,
-                    cases,
-                    default,
-                } => {
-                    let v = frame.regs[idx.0 as usize] as i64;
-                    let run = &f.cases[cases.range()];
-                    // The run is sorted and contiguous: `v - first_key`
-                    // indexes it directly (checked_sub: a key range that
-                    // underflows i64 is certainly out of the table).
-                    frame.pc = match v.checked_sub(run[0].0) {
-                        Some(p) if (p as u64) < run.len() as u64 => run[p as usize].1,
-                        _ => default,
-                    };
-                }
-            }
-        }
-    }
-
-    /// The threaded interpreter loop ([`DispatchMode::Threaded`]).
+    /// The interpreter loop.
     ///
     /// One outer iteration per *activation* — the stretch of instructions a
     /// single frame executes between frame transitions. The inner loop
@@ -1491,16 +804,13 @@ impl<'p> Vm<'p> {
     /// whole-`self` bookkeeping (frame push/pop, closure application) runs
     /// after the per-activation borrows are released — everything stays
     /// inside `#![forbid(unsafe_code)]`.
-    ///
-    /// Observable behaviour (results, statistics, error messages) is
-    /// required to be identical to [`Vm::run_match`]; the dispatch
-    /// differential matrix pins this.
     fn run_threaded(&mut self, idx: usize, args: Vec<ObjRef>) -> Result<ObjRef, VmError> {
         self.enter(idx, &args)?;
         let prog = self.program;
         loop {
-            // The stack only changes between activations, so sampling the
-            // depth here sees every height the match loop would.
+            // The stack only changes between activations (or inside the
+            // inline call below, which samples it itself), so sampling the
+            // depth here sees every height.
             self.max_depth = self.max_depth.max(self.stack.len() as u64);
             let mut fi = *self.stack.last().expect("empty stack") as usize;
             // The step counter lives in a register for the whole
@@ -1522,8 +832,6 @@ impl<'p> Vm<'p> {
                     class_allocs,
                     frame_reuses,
                     tail_frame_reuses,
-                    cache_hits,
-                    cache_misses,
                     max_depth,
                     max_frame_width,
                     pool,
@@ -1531,11 +839,8 @@ impl<'p> Vm<'p> {
                     free,
                     scratch,
                     scratch_objs,
-                    caches,
-                    opts,
                     ..
                 } = self;
-                let use_cache = opts.inline_cache;
                 let mut frame = &mut pool[fi];
                 let mut f = &prog.fns[frame.func as usize];
                 let mut pc = frame.pc as usize;
@@ -1666,25 +971,22 @@ impl<'p> Vm<'p> {
                                 }
                             }
                         }
-                        DecodedInstr::PapExtend {
-                            dst,
-                            closure,
-                            args,
-                            cache,
-                        } => {
+                        DecodedInstr::PapExtend { dst, closure, args } => {
                             let c = ObjRef::from_bits(frame.regs[closure.0 as usize]);
-                            let probe = match *heap.data(c) {
+                            // Saturation fast path: extending an empty
+                            // closure with exactly its arity is a direct
+                            // call — same counter effects as the generic
+                            // `pap_extend` (no captured args to retain,
+                            // release the closure, no allocation), minus
+                            // the staging `Vec` and `ApplyOutcome` round
+                            // trip. Arity mismatches keep the generic
+                            // path's error behaviour.
+                            let saturating = match *heap.data(c) {
                                 ObjData::Closure {
                                     func,
                                     arity,
                                     args: ref applied,
-                                } => {
-                                    if applied.is_empty() {
-                                        Some((func, arity))
-                                    } else {
-                                        None
-                                    }
-                                }
+                                } => (applied.is_empty() && arity == args.len).then_some(func.0),
                                 _ => {
                                     frame.pc = pc as u32;
                                     break 'act Transfer::Error(err(
@@ -1692,69 +994,17 @@ impl<'p> Vm<'p> {
                                     ));
                                 }
                             };
-                            let slot = if use_cache && cache != NO_CACHE {
-                                Some(f.cache_base as usize + cache as usize)
-                            } else {
-                                None
-                            };
-                            if let (Some(g), Some((func, arity))) = (slot, probe) {
-                                let s = caches[g];
-                                if s.state == SLOT_PAP
-                                    && s.func == func.0
-                                    && s.arity == arity
-                                    && arity == args.len
+                            if let Some(func) = saturating {
+                                if let Some(t) =
+                                    prog.fns.get(func as usize).filter(|t| t.arity == args.len)
                                 {
-                                    *cache_hits += 1;
                                     scratch.clear();
                                     scratch.extend(
                                         f.arg_regs(args).iter().map(|&r| frame.regs[r.0 as usize]),
                                     );
                                     heap.dec(c);
-                                    inline_call!(s.func, s.n_regs, dst);
+                                    inline_call!(func, t.n_regs, dst);
                                     continue;
-                                }
-                            }
-                            if let Some(g) = slot {
-                                *cache_misses += 1;
-                                if let Some((func, arity)) = probe {
-                                    if arity == args.len {
-                                        if let Some(t) = prog.fns.get(func.0 as usize) {
-                                            if t.arity == arity {
-                                                caches[g] = CacheSlot {
-                                                    func: func.0,
-                                                    arity,
-                                                    n_regs: t.n_regs,
-                                                    state: SLOT_PAP,
-                                                };
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            // Saturation fast path: extending an empty
-                            // closure with exactly its arity is a direct
-                            // call — same counter effects as the generic
-                            // `pap_extend` (no captured args to retain,
-                            // release the closure, no allocation), minus
-                            // the staging `Vec` and `ApplyOutcome` round
-                            // trip. Covers the cache-cold and cache-off
-                            // runs; arity mismatches keep the generic
-                            // path's error behaviour.
-                            if let Some((func, arity)) = probe {
-                                if arity == args.len {
-                                    if let Some(t) = prog.fns.get(func.0 as usize) {
-                                        if t.arity == arity {
-                                            scratch.clear();
-                                            scratch.extend(
-                                                f.arg_regs(args)
-                                                    .iter()
-                                                    .map(|&r| frame.regs[r.0 as usize]),
-                                            );
-                                            heap.dec(c);
-                                            inline_call!(func.0, t.n_regs, dst);
-                                            continue;
-                                        }
-                                    }
                                 }
                             }
                             let vals: Vec<ObjRef> = f
@@ -1786,63 +1036,26 @@ impl<'p> Vm<'p> {
                             let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
                             heap.dec(o);
                         }
-                        DecodedInstr::Call {
-                            dst,
-                            func,
-                            args_off,
-                            args_len,
-                            cache,
-                        } => {
+                        DecodedInstr::Call { dst, func, args } => {
                             scratch.clear();
-                            scratch.extend(
-                                f.arg_regs(ArgSlice {
-                                    off: args_off,
-                                    len: args_len,
-                                })
-                                .iter()
-                                .map(|&r| frame.regs[r.0 as usize]),
-                            );
-                            let slot = if use_cache && cache != NO_CACHE {
-                                Some(f.cache_base as usize + cache as usize)
-                            } else {
-                                None
+                            scratch
+                                .extend(f.arg_regs(args).iter().map(|&r| frame.regs[r.0 as usize]));
+                            let Some(target) = prog.fns.get(func as usize) else {
+                                frame.pc = pc as u32;
+                                break 'act Transfer::Error(err(format!(
+                                    "bad function index {func}"
+                                )));
                             };
-                            let n_regs = match slot {
-                                Some(g) if caches[g].state == SLOT_CALL => {
-                                    *cache_hits += 1;
-                                    caches[g].n_regs
-                                }
-                                _ => {
-                                    if slot.is_some() {
-                                        *cache_misses += 1;
-                                    }
-                                    let Some(target) = prog.fns.get(func as usize) else {
-                                        frame.pc = pc as u32;
-                                        break 'act Transfer::Error(err(format!(
-                                            "bad function index {func}"
-                                        )));
-                                    };
-                                    if scratch.len() != target.arity as usize {
-                                        frame.pc = pc as u32;
-                                        break 'act Transfer::Error(err(format!(
-                                            "@{} called with {} args (arity {})",
-                                            target.name,
-                                            scratch.len(),
-                                            target.arity
-                                        )));
-                                    }
-                                    if let Some(g) = slot {
-                                        caches[g] = CacheSlot {
-                                            func,
-                                            arity: target.arity,
-                                            n_regs: target.n_regs,
-                                            state: SLOT_CALL,
-                                        };
-                                    }
-                                    target.n_regs
-                                }
-                            };
-                            inline_call!(func, n_regs, dst);
+                            if scratch.len() != target.arity as usize {
+                                frame.pc = pc as u32;
+                                break 'act Transfer::Error(err(format!(
+                                    "@{} called with {} args (arity {})",
+                                    target.name,
+                                    scratch.len(),
+                                    target.arity
+                                )));
+                            }
+                            inline_call!(func, target.n_regs, dst);
                         }
                         DecodedInstr::CallBuiltin {
                             dst,
@@ -1976,54 +1189,21 @@ impl<'p> Vm<'p> {
                             class_allocs[OpClass::CallBuiltin as usize] += heap.alloc_count() - a0;
                             frame.regs[dst.0 as usize] = out.to_bits();
                         }
-                        DecodedInstr::TailCall {
-                            func,
-                            args_off,
-                            args_len,
-                            cache,
-                        } => {
-                            let args = ArgSlice {
-                                off: args_off,
-                                len: args_len,
+                        DecodedInstr::TailCall { func, args } => {
+                            let Some(target) = prog.fns.get(func as usize) else {
+                                frame.pc = pc as u32;
+                                break 'act Transfer::Error(err(format!(
+                                    "bad function index {func}"
+                                )));
                             };
-                            let slot = if use_cache && cache != NO_CACHE {
-                                Some(f.cache_base as usize + cache as usize)
-                            } else {
-                                None
-                            };
-                            let n_regs = match slot {
-                                Some(g) if caches[g].state == SLOT_CALL => {
-                                    *cache_hits += 1;
-                                    caches[g].n_regs
-                                }
-                                _ => {
-                                    if slot.is_some() {
-                                        *cache_misses += 1;
-                                    }
-                                    let Some(target) = prog.fns.get(func as usize) else {
-                                        frame.pc = pc as u32;
-                                        break 'act Transfer::Error(err(format!(
-                                            "bad function index {func}"
-                                        )));
-                                    };
-                                    if args.len as usize != target.arity as usize {
-                                        frame.pc = pc as u32;
-                                        break 'act Transfer::Error(err(format!(
-                                            "@{} called with {} args (arity {})",
-                                            target.name, args.len, target.arity
-                                        )));
-                                    }
-                                    if let Some(g) = slot {
-                                        caches[g] = CacheSlot {
-                                            func,
-                                            arity: target.arity,
-                                            n_regs: target.n_regs,
-                                            state: SLOT_CALL,
-                                        };
-                                    }
-                                    target.n_regs
-                                }
-                            };
+                            if args.len as usize != target.arity as usize {
+                                frame.pc = pc as u32;
+                                break 'act Transfer::Error(err(format!(
+                                    "@{} called with {} args (arity {})",
+                                    target.name, args.len, target.arity
+                                )));
+                            }
+                            let n_regs = target.n_regs;
                             *calls += 1;
                             *tail_frame_reuses += 1;
                             scratch.clear();
@@ -2035,7 +1215,7 @@ impl<'p> Vm<'p> {
                             // The activation continues in the callee:
                             // `ret_dst`/`after_ret` carry over, the stack is
                             // untouched, and no outer-loop round trip is paid.
-                            f = &prog.fns[func as usize];
+                            f = target;
                             pc = 0;
                         }
                         DecodedInstr::Ret { src } => {
@@ -2373,8 +1553,8 @@ impl<'p> Vm<'p> {
 
     /// The validated tail of [`Vm::alloc_frame`]: wires a pooled frame to
     /// `func` with the staged arguments, skipping the function lookup and
-    /// the arity check — the inline caches take this path directly on a
-    /// monomorphic hit (the site proved both on its first execution). Fails
+    /// the arity check — the interpreter loop takes this path directly for a
+    /// [`Transfer::Push`], whose call site already validated both. Fails
     /// only on the [`JobLimits::max_depth`] cap.
     fn push_frame_fast(&mut self, func: u32, n_regs: u16, ret_dst: Reg) -> Result<u32, VmError> {
         if self.stack.len() as u64 >= self.depth_limit {
@@ -2448,8 +1628,6 @@ impl<'p> Vm<'p> {
             frame_reuses: self.frame_reuses,
             tail_frame_reuses: self.tail_frame_reuses,
             fused_cells: self.program.fusion.superinstructions(),
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
             max_frame_width: self.max_frame_width,
             frame_pool_bytes: self
                 .pool
@@ -2681,7 +1859,7 @@ pub fn run_decoded_with(
 }
 
 /// Runs `entry` of a pre-decoded program and renders the result (default
-/// execution options: threaded dispatch, inline caches on).
+/// execution options: no limits, no faults).
 ///
 /// # Errors
 ///
@@ -2697,7 +1875,7 @@ pub fn run_decoded(
 /// Decodes `program` under `decode` (memoized per program, see
 /// [`CompiledProgram::decoded`]), then runs `entry` under `exec` and
 /// renders the result — the fully-parameterized entry point behind the
-/// `--dispatch`/`--no-inline-cache`/`--no-renumber`/`--no-fuse` knobs.
+/// `--no-renumber`/`--no-fuse` knobs and the resource budgets.
 ///
 /// # Errors
 ///
@@ -2953,119 +2131,6 @@ mod tests {
         assert!(out.vm_stats.allocs_of(OpClass::Closure) >= 1);
     }
 
-    /// Like [`tail_loop`], but the self-call is non-tail (the countdown
-    /// result returns through a register), so the site keeps its cache
-    /// slot — tail sites no longer get one.
-    fn call_loop(n: i64) -> CompiledProgram {
-        CompiledProgram {
-            fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 2,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: n },
-                        Instr::Call {
-                            dst: Reg(1),
-                            func: 1,
-                            args: vec![Reg(0)],
-                        },
-                        Instr::Ret { src: Reg(1) },
-                    ],
-                },
-                CompiledFn {
-                    name: "loop".into(),
-                    arity: 1,
-                    n_regs: 4,
-                    code: vec![
-                        Instr::GetLabel {
-                            dst: Reg(1),
-                            src: Reg(0),
-                        },
-                        Instr::ConstInt { dst: Reg(2), v: 0 },
-                        Instr::Cmp {
-                            pred: CmpPred::Eq,
-                            dst: Reg(2),
-                            a: Reg(1),
-                            b: Reg(2),
-                        },
-                        Instr::Branch {
-                            cond: Reg(2),
-                            then_t: 4,
-                            else_t: 6,
-                        },
-                        Instr::LpInt { dst: Reg(3), v: 7 },
-                        Instr::Ret { src: Reg(3) },
-                        Instr::LpInt { dst: Reg(2), v: 1 },
-                        Instr::CallBuiltin {
-                            dst: Reg(3),
-                            builtin: lssa_rt::Builtin::NatSub,
-                            args: vec![Reg(0), Reg(2)],
-                            mask: 0,
-                        },
-                        Instr::Call {
-                            dst: Reg(3),
-                            func: 1,
-                            args: vec![Reg(3)],
-                        },
-                        Instr::Ret { src: Reg(3) },
-                    ],
-                },
-            ],
-            ..CompiledProgram::default()
-        }
-    }
-
-    #[test]
-    fn inline_caches_hit_on_monomorphic_sites() {
-        // The non-tail loop's call sites each bind one target, so after
-        // the first-execution miss every deeper call must hit — and
-        // switching the caches off must change the counters and nothing
-        // else.
-        let p = call_loop(1_000);
-        let run = |cache: bool| {
-            run_program_opts(
-                &p,
-                "main",
-                1_000_000,
-                DecodeOptions::default(),
-                ExecOptions::default().with_inline_cache(cache),
-            )
-            .unwrap()
-        };
-        let cached = run(true);
-        let uncached = run(false);
-        assert_eq!(cached.rendered, "7");
-        assert_eq!(cached.rendered, uncached.rendered);
-        assert_eq!(cached.stats.instructions, uncached.stats.instructions);
-        assert_eq!(uncached.vm_stats.cache_hits, 0);
-        assert_eq!(uncached.vm_stats.cache_misses, 0);
-        assert!(
-            cached.vm_stats.cache_hits >= 999,
-            "the monomorphic call site must hit on all but its first execution (got {})",
-            cached.vm_stats.cache_hits
-        );
-        assert!(
-            cached.vm_stats.cache_misses <= 3,
-            "only first executions may miss (got {})",
-            cached.vm_stats.cache_misses
-        );
-    }
-
-    #[test]
-    fn tail_call_sites_probe_no_cache() {
-        // Tail-call cells are skipped by cache-slot assignment (static
-        // target — a probe buys nothing), so a pure tail loop's only
-        // recorded probe is main's entry call missing once.
-        let out = run_program(&tail_loop(1_000), "main", 1_000_000).unwrap();
-        assert_eq!(out.rendered, "7");
-        assert_eq!(out.vm_stats.cache_hits, 0, "tail sites must not probe");
-        assert_eq!(
-            out.vm_stats.cache_misses, 1,
-            "only main's entry call takes a first-execution miss"
-        );
-    }
-
     /// `apply5(c) = papextend c [5]`, called with closures over `twice`
     /// and optionally `inc` — one papextend site, one or two targets.
     fn papextend_site(second_target: u32) -> CompiledProgram {
@@ -3156,21 +2221,40 @@ mod tests {
     }
 
     #[test]
-    fn papextend_cache_distinguishes_mono_from_polymorphic_sites() {
-        // Same closure shape twice: the papextend site misses once, then
-        // hits. Cache sites executed: main's two `Call`s (one miss each)
-        // and the papextend (miss + hit).
+    fn papextend_saturation_fast_path_serves_mono_and_polymorphic_sites() {
+        // The one papextend site saturates an unapplied closure twice:
+        // over the same target (`twice` twice) or over two (`twice`, then
+        // `inc`). Both take the direct-call fast path, and both must match
+        // the runtime's generic extension: same results, and heap counters
+        // that differ only by what the second closure's target computes.
         let mono = run_program(&papextend_site(2), "main", 1000).unwrap();
         assert_eq!(mono.rendered, "20");
-        assert_eq!(mono.vm_stats.cache_hits, 1);
-        assert_eq!(mono.vm_stats.cache_misses, 3);
-        // Two different targets through the one site: the second probe
-        // sees a different function and must fall back to the runtime's
-        // generic path — no stale-target call, one extra miss.
         let poly = run_program(&papextend_site(3), "main", 1000).unwrap();
         assert_eq!(poly.rendered, "16");
-        assert_eq!(poly.vm_stats.cache_hits, 0);
-        assert_eq!(poly.vm_stats.cache_misses, 4);
+        for out in [&mono, &poly] {
+            let heap = out.vm_stats.heap;
+            assert_eq!(
+                heap.closure_allocs, 2,
+                "one closure per `pap`, none per call"
+            );
+            assert_eq!(heap.allocs, heap.frees, "every closure is released");
+            assert_eq!(out.vm_stats.executed_of(OpClass::Closure), 4);
+            assert_eq!(out.vm_stats.allocs_of(OpClass::Closure), 2);
+        }
+        assert_eq!(mono.vm_stats.heap, poly.vm_stats.heap);
+        // A closure whose recorded arity disagrees with its target's
+        // (1 vs `main`'s 0) fails the fast path's target check and takes
+        // the generic path, which reports the bad call.
+        let mut bad = papextend_site(2);
+        bad.fns[0].code[0] = Instr::Pap {
+            dst: Reg(0),
+            func: 0,
+            arity: 1,
+            args: vec![],
+        };
+        let mismatch = run_program(&bad, "main", 1000).unwrap_err();
+        assert_eq!(mismatch.message, "@main called with 1 args (arity 0)");
+        assert_eq!(mismatch.kind, VmErrorKind::Trap);
     }
 
     #[test]
@@ -3409,24 +2493,15 @@ mod tests {
         }
     }
 
-    fn both_dispatch_modes() -> [ExecOptions; 2] {
-        [
-            ExecOptions::default().with_dispatch(DispatchMode::Match),
-            ExecOptions::default().with_dispatch(DispatchMode::Threaded),
-        ]
-    }
-
     #[test]
     fn step_budget_error_is_structured() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
-        for opts in both_dispatch_modes() {
-            let mut vm = Vm::with_options(&d, 100, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::StepBudget);
-            assert_eq!(e.message, lssa_rt::STEP_BUDGET_MSG);
-            assert_eq!(vm.stats().instructions, 100, "fails exactly at budget");
-        }
+        let mut vm = Vm::new(&d, 100);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(e.kind, VmErrorKind::StepBudget);
+        assert_eq!(e.message, lssa_rt::STEP_BUDGET_MSG);
+        assert_eq!(vm.stats().instructions, 100, "fails exactly at budget");
     }
 
     #[test]
@@ -3443,42 +2518,41 @@ mod tests {
     #[test]
     fn heap_budget_aborts_and_purge_rebalances() {
         let d = decode_program(&alloc_loop(1_000_000));
-        for opts in both_dispatch_modes() {
-            let opts = opts.with_limits(JobLimits::default().with_heap_bytes(4096));
-            let mut vm = Vm::with_options(&d, u64::MAX, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::HeapBudget, "{e}");
-            let stats = vm.heap.stats();
-            assert!(stats.live > 0, "abort leaves the list alive");
-            assert_eq!(stats.live, vm.heap.live_objects());
-            vm.purge();
-            let after = vm.heap.stats();
-            assert_eq!(after.live, 0);
-            assert_eq!(after.allocs, after.frees, "drop-all must balance");
-        }
+        let opts = ExecOptions::default().with_limits(JobLimits::default().with_heap_bytes(4096));
+        let mut vm = Vm::with_options(&d, u64::MAX, opts);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(e.kind, VmErrorKind::HeapBudget, "{e}");
+        let stats = vm.heap.stats();
+        assert!(stats.live > 0, "abort leaves the list alive");
+        assert_eq!(stats.live, vm.heap.live_objects());
+        vm.purge();
+        let after = vm.heap.stats();
+        assert_eq!(after.live, 0);
+        assert_eq!(after.allocs, after.frees, "drop-all must balance");
     }
 
     #[test]
-    fn depth_budget_identical_across_dispatch_modes() {
+    fn depth_budget_trips_at_an_exact_step() {
+        // The cap is checked before each frame push, after the call cell
+        // was counted: `main` plus 63 `rec` frames reach depth 64, and the
+        // next call trips at step 443 — main's 2 cells, then 7 cells per
+        // `rec` level, each ending in its call.
         let d = decode_program(&deep_recursion(1_000_000));
-        let mut reference = None;
-        for opts in both_dispatch_modes() {
-            let opts = opts.with_limits(JobLimits::default().with_max_depth(64));
-            let mut vm = Vm::with_options(&d, u64::MAX, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::DepthBudget, "{e}");
-            let steps = vm.stats().instructions;
-            match reference {
-                None => reference = Some((e, steps)),
-                Some((ref re, rs)) => {
-                    assert_eq!(*re, e);
-                    assert_eq!(rs, steps, "modes must fail at the same step");
-                }
+        let opts = ExecOptions::default().with_limits(JobLimits::default().with_max_depth(64));
+        let mut vm = Vm::with_options(&d, u64::MAX, opts);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(
+            e,
+            VmError {
+                message: "frame depth budget exhausted".into(),
+                kind: VmErrorKind::DepthBudget,
             }
-            // Within budget the same VM still works after the abort.
-            vm.purge();
-            assert!(vm.heap.stats().live == 0);
-        }
+        );
+        assert_eq!(vm.stats().instructions, 443);
+        assert_eq!(vm.statistics().max_depth, 64);
+        // The same VM still works after the abort.
+        vm.purge();
+        assert_eq!(vm.heap.stats().live, 0);
     }
 
     #[test]
@@ -3498,16 +2572,14 @@ mod tests {
     fn planned_cancellation_is_deterministic() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
-        for opts in both_dispatch_modes() {
-            let opts = opts.with_fault(FaultPlan {
-                cancel_at: Some(5000),
-                ..FaultPlan::default()
-            });
-            let mut vm = Vm::with_options(&d, u64::MAX, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::Cancelled);
-            assert_eq!(vm.stats().instructions, 5000);
-        }
+        let opts = ExecOptions::default().with_fault(FaultPlan {
+            cancel_at: Some(5000),
+            ..FaultPlan::default()
+        });
+        let mut vm = Vm::with_options(&d, u64::MAX, opts);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(e.kind, VmErrorKind::Cancelled);
+        assert_eq!(vm.stats().instructions, 5000);
     }
 
     #[test]

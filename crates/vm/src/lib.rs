@@ -34,6 +34,6 @@ pub use decode::{
 };
 pub use exec::{
     run_decoded, run_decoded_with, run_program, run_program_opts, run_program_with, CancelToken,
-    DispatchMode, ExecOptions, ExecStats, FaultPlan, JobLimits, RunOutcome, Vm, VmError,
-    VmErrorKind, VmStatistics,
+    ExecOptions, ExecStats, FaultPlan, JobLimits, RunOutcome, Vm, VmError, VmErrorKind,
+    VmStatistics,
 };

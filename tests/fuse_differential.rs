@@ -1,11 +1,12 @@
-//! Dispatch-matrix differential suite: every VM execution strategy must be
-//! a pure dispatch optimization. For every workload (under every compiler
-//! configuration) and every conformance case, the full matrix of
-//! {match, threaded} dispatch × {fused, unfused} decode × {inline caches
-//! on, off} must produce byte-identical results and identical
-//! heap/allocation counters — only the executed-cell counts may differ
-//! across decode modes (fused runs fewer), and only the cache counters may
-//! differ across cache modes.
+//! Dispatch-matrix differential suite: every decode-time transformation
+//! must be a pure dispatch optimization. The VM has one interpreter loop;
+//! the matrix is the decoded streams it runs. For every workload (under
+//! every compiler configuration) and every conformance case, {fused,
+//! unfused} decode × {renumbered, original} registers must produce
+//! byte-identical results and identical heap/allocation counters, frame
+//! depth and frame allocations — only the executed-cell counts may differ
+//! across fusion modes (fused runs fewer); renumbering may not change
+//! them at all.
 //!
 //! Runtime errors count too: a program that traps must trap with the same
 //! message under every strategy.
@@ -15,33 +16,23 @@ use lambda_ssa::driver::conformance::handwritten;
 use lambda_ssa::driver::pipelines::{compile, Backend, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
 use lambda_ssa::driver::{diff, par};
-use lambda_ssa::vm::{run_program_opts, DecodeOptions, DispatchMode, ExecOptions, OpClass};
+use lambda_ssa::vm::{run_program_opts, run_program_with, DecodeOptions, ExecOptions, OpClass};
 
 const MAX_STEPS: u64 = 500_000_000;
 
-/// The execution strategies under test: every combination of dispatch
-/// mode, decode mode, and inline caching. The first entry (threaded,
-/// fused, cached) is the default and serves as the reference.
-fn matrix() -> Vec<(String, DecodeOptions, ExecOptions)> {
+/// The decoded streams under test: fusion on/off × register renumbering
+/// on/off. The first entry (fused, renumbered) is the default and serves
+/// as the reference.
+fn matrix() -> Vec<(String, DecodeOptions)> {
     let mut combos = Vec::new();
-    for dispatch in [DispatchMode::Threaded, DispatchMode::Match] {
-        for (dl, decode) in [
-            ("fused", DecodeOptions::fused()),
-            ("no-fuse", DecodeOptions::no_fuse()),
-        ] {
-            for cache in [true, false] {
-                combos.push((
-                    format!(
-                        "{}/{dl}/{}",
-                        dispatch.name(),
-                        if cache { "cache" } else { "no-cache" }
-                    ),
-                    decode,
-                    ExecOptions::default()
-                        .with_dispatch(dispatch)
-                        .with_inline_cache(cache),
-                ));
-            }
+    for (fl, fuse) in [("fused", true), ("no-fuse", false)] {
+        for (rl, renumber) in [("renumber", true), ("no-renumber", false)] {
+            combos.push((
+                format!("{fl}/{rl}"),
+                DecodeOptions::fused()
+                    .with_fuse(fuse)
+                    .with_renumber(renumber),
+            ));
         }
     }
     combos
@@ -52,9 +43,10 @@ fn matrix() -> Vec<(String, DecodeOptions, ExecOptions)> {
 /// rendering (for checksum asserts), or `None` if the program traps.
 fn assert_matrix_agrees(label: &str, program: &lambda_ssa::vm::CompiledProgram) -> Option<String> {
     let combos = matrix();
-    let reference = run_program_opts(program, "main", MAX_STEPS, combos[0].1, combos[0].2);
-    for (name, decode, exec) in &combos[1..] {
-        let got = run_program_opts(program, "main", MAX_STEPS, *decode, *exec);
+    let run = |decode| run_program_with(program, "main", MAX_STEPS, decode);
+    let reference = run(combos[0].1);
+    for (name, decode) in &combos[1..] {
+        let got = run(*decode);
         match (&reference, &got) {
             (Ok(r), Ok(g)) => {
                 assert_eq!(
@@ -77,12 +69,12 @@ fn assert_matrix_agrees(label: &str, program: &lambda_ssa::vm::CompiledProgram) 
                     r.stats.instructions <= g.stats.instructions,
                     "{label} [{name}]: fused dispatch must never execute more cells"
                 );
-                // Same decode mode ⇒ byte-identical cell counts; dispatch
-                // and caching may not change what executes at all.
-                if *decode == combos[0].1 {
+                // Same fusion mode ⇒ byte-identical cell counts;
+                // renumbering may not change what executes at all.
+                if decode.fuse == combos[0].1.fuse {
                     assert_eq!(
                         r.stats.instructions, g.stats.instructions,
-                        "{label} [{name}]: dispatch/caching changed the cell count"
+                        "{label} [{name}]: renumbering changed the cell count"
                     );
                 }
             }
@@ -257,7 +249,7 @@ fn rc_opt_knob_preserves_behaviour_on_corpus() {
 fn conformance_cases_agree_across_dispatch_matrix() {
     // The hand-written corpus covers every language construct and the
     // runtime-error edges (div-by-zero and friends) — exactly the places a
-    // dispatch or fusion bug would hide.
+    // fusion or renumbering bug would hide.
     let cases = handwritten();
     par::par_map(&cases, |case| {
         let program = match compile(&case.src, CompilerConfig::mlir()) {
@@ -271,11 +263,11 @@ fn conformance_cases_agree_across_dispatch_matrix() {
 
 #[test]
 fn step_budget_exhaustion_is_identical_across_dispatch_matrix() {
-    // Resource governance must be dispatch-invariant: capping the step
+    // Resource governance must be decode-invariant: capping the step
     // budget below a workload's total must abort every strategy at the
     // *identical* step count with the *identical* structured error. A
     // checkpoint scheme that consumed steps, or polled differently per
-    // dispatch mode, would diverge here.
+    // decoded stream, would diverge here.
     let workloads = all(Scale::Test);
     par::par_map(&workloads, |w| {
         let program =
@@ -294,9 +286,9 @@ fn step_budget_exhaustion_is_identical_across_dispatch_matrix() {
         if budget == 0 {
             return;
         }
-        for (name, decode, exec) in matrix() {
+        for (name, decode) in matrix() {
             let decoded = program.decoded(decode);
-            let mut vm = lambda_ssa::vm::Vm::with_options(&decoded, budget, exec);
+            let mut vm = lambda_ssa::vm::Vm::new(&decoded, budget);
             let err = vm
                 .run("main")
                 .expect_err(&format!("{} [{name}]: capped run must exhaust", w.name));

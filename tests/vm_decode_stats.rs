@@ -11,10 +11,7 @@
 
 use lambda_ssa::driver::pipelines::{compile, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
-use lambda_ssa::vm::{
-    decode_program, decode_program_with, run_decoded, run_decoded_with, DecodeOptions,
-    DispatchMode, ExecOptions, OpClass,
-};
+use lambda_ssa::vm::{decode_program, decode_program_with, run_decoded, DecodeOptions, OpClass};
 
 const MAX_STEPS: u64 = 500_000_000;
 
@@ -71,61 +68,57 @@ fn decode_round_trips_compiled_workloads() {
 fn compiled_tail_recursion_runs_in_constant_frames() {
     // A tail-recursive countdown over raw machine arithmetic: after TCO the
     // loop body is pure arith + tail call, so the steady state must not
-    // allocate at all — under either dispatch mode.
+    // allocate at all.
     let src_for = |n: u64| {
         format!(
             "def loop(n, acc) := if n == 0 then acc else loop(n - 1, acc + n)\n\
              def main() := loop({n}, 0)"
         )
     };
-    for dispatch in [DispatchMode::Threaded, DispatchMode::Match] {
-        let exec = ExecOptions::default().with_dispatch(dispatch);
-        let run = |n: u64| {
-            let program = compile(&src_for(n), CompilerConfig::mlir()).expect("compile");
-            let decoded = decode_program(&program);
-            run_decoded_with(&decoded, "main", MAX_STEPS, exec).expect("run")
-        };
-        let shallow = run(1_000);
-        let deep = run(100_000);
-        assert_eq!(deep.rendered, "5000050000");
-        for out in [&shallow, &deep] {
-            assert!(
-                out.vm_stats.executed_of(OpClass::TailCall) > 0,
-                "the pipeline must compile the recursion to tail calls"
-            );
-            assert!(
-                out.vm_stats.max_depth <= 3,
-                "frame-pool high-water mark must not grow with depth (got {})",
-                out.vm_stats.max_depth
-            );
-            assert_eq!(
-                out.vm_stats.frame_allocs, out.vm_stats.max_depth,
-                "only the high-water mark's worth of frames is ever allocated"
-            );
-        }
-        // Zero steady-state allocations of any kind ({dispatch:?}): 100x
-        // the iterations, identical heap-allocation count, identical
-        // frame-pool footprint. A recycled frame re-allocates only when
-        // wired wider than ever before, so the pool's retained bytes must
-        // not grow with depth either.
-        assert_eq!(
-            deep.vm_stats.heap.allocs, shallow.vm_stats.heap.allocs,
-            "tail-call fast path must not allocate per iteration ({dispatch:?})"
-        );
-        assert_eq!(deep.vm_stats.allocs_of(OpClass::TailCall), 0);
-        assert_eq!(
-            deep.vm_stats.frame_pool_bytes, shallow.vm_stats.frame_pool_bytes,
-            "frame-pool footprint must not grow with loop depth ({dispatch:?})"
-        );
-        assert_eq!(
-            deep.vm_stats.max_frame_width, shallow.vm_stats.max_frame_width,
-            "widest frame must not grow with loop depth ({dispatch:?})"
+    let run = |n: u64| {
+        let program = compile(&src_for(n), CompilerConfig::mlir()).expect("compile");
+        let decoded = decode_program(&program);
+        run_decoded(&decoded, "main", MAX_STEPS).expect("run")
+    };
+    let shallow = run(1_000);
+    let deep = run(100_000);
+    assert_eq!(deep.rendered, "5000050000");
+    for out in [&shallow, &deep] {
+        assert!(
+            out.vm_stats.executed_of(OpClass::TailCall) > 0,
+            "the pipeline must compile the recursion to tail calls"
         );
         assert!(
-            deep.vm_stats.tail_frame_reuses > shallow.vm_stats.tail_frame_reuses,
-            "the deep loop must reuse its frame in place ({dispatch:?})"
+            out.vm_stats.max_depth <= 3,
+            "frame-pool high-water mark must not grow with depth (got {})",
+            out.vm_stats.max_depth
+        );
+        assert_eq!(
+            out.vm_stats.frame_allocs, out.vm_stats.max_depth,
+            "only the high-water mark's worth of frames is ever allocated"
         );
     }
+    // Zero steady-state allocations of any kind: 100x the iterations,
+    // identical heap-allocation count, identical frame-pool footprint. A
+    // recycled frame re-allocates only when wired wider than ever before,
+    // so the pool's retained bytes must not grow with depth either.
+    assert_eq!(
+        deep.vm_stats.heap.allocs, shallow.vm_stats.heap.allocs,
+        "tail-call fast path must not allocate per iteration"
+    );
+    assert_eq!(deep.vm_stats.allocs_of(OpClass::TailCall), 0);
+    assert_eq!(
+        deep.vm_stats.frame_pool_bytes, shallow.vm_stats.frame_pool_bytes,
+        "frame-pool footprint must not grow with loop depth"
+    );
+    assert_eq!(
+        deep.vm_stats.max_frame_width, shallow.vm_stats.max_frame_width,
+        "widest frame must not grow with loop depth"
+    );
+    assert!(
+        deep.vm_stats.tail_frame_reuses > shallow.vm_stats.tail_frame_reuses,
+        "the deep loop must reuse its frame in place"
+    );
 }
 
 #[test]
