@@ -8,10 +8,11 @@
 //!   instruction-count delta against `full` is the rc-opt win),
 //! - decode-time superinstruction fusion on/off (the `-fusion` knob runs
 //!   the full compile pipeline but executes the unfused stream, so the
-//!   fused rows of the VM tables quantify exactly what fusion buys),
-//! - decode-time register compaction on/off (`-renumber` runs the
-//!   identical program, so its instruction count matches `full` — the VM
-//!   statistics table's frame-pool bytes carry the signal for this row).
+//!   fused rows of the VM tables quantify exactly what fusion buys).
+//!
+//! Decode-time register renumbering is always on; its effect is the
+//! "register slots saved by renumbering" count in each knob's VM
+//! statistics table.
 //!
 //! Reports deterministic VM instruction counts and static code size per
 //! knob, per benchmark — wall-clock-free, so the ablation is exactly
@@ -30,7 +31,7 @@ use lssa_core::{PipelineOptions, PipelineReport};
 use lssa_driver::pipelines::{compile_with_report, Backend, CompilerConfig};
 use lssa_driver::workloads::{all, Scale};
 use lssa_lambda::SimplifyOptions;
-use lssa_vm::DecodeOptions;
+use lssa_vm::{DecodeOptions, ExecOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -82,11 +83,6 @@ fn main() {
             PipelineOptions::full(),
             DecodeOptions::no_fuse().with_renumber(true),
         ),
-        (
-            "-renumber",
-            PipelineOptions::full(),
-            fused.with_renumber(false),
-        ),
         ("none", PipelineOptions::no_opt(), fused),
     ];
     println!("Ablation over the rgn pipeline's design knobs (instruction counts, deterministic)");
@@ -118,8 +114,13 @@ fn main() {
             };
             let (program, report) = compile_with_report(&w.src, config).expect("compile");
             knob_reports[i].merge(&report.expect("mlir backend reports statistics"));
-            let out = lssa_vm::run_program_with(&program, "main", lssa_bench::MAX_STEPS, *decode)
-                .expect("run");
+            let out = lssa_vm::run_decoded_with(
+                &program.decoded(*decode),
+                "main",
+                lssa_bench::MAX_STEPS,
+                ExecOptions::default(),
+            )
+            .expect("run");
             knob_vm_stats[i].merge(&out.vm_stats);
             print!(" {:>10}/{:<5}", out.stats.instructions, program.code_size());
         }
@@ -130,9 +131,7 @@ fn main() {
     println!("expected shape: -region-opts and none never beat full; -guaranteed-tco only");
     println!("affects stack depth (instruction counts are within noise of full); -fusion");
     println!("executes the same program as full but without superinstructions, so its");
-    println!("dynamic count is higher at identical static code size; -renumber executes");
-    println!("the identical stream (identical counts) — its effect is frame-pool only, see");
-    println!("the VM tables below.");
+    println!("dynamic count is higher at identical static code size.");
     println!();
     println!("Per-pass statistics per knob (aggregated across the workloads above)");
     for ((label, _, _), report) in knobs.iter().zip(&knob_reports) {

@@ -18,7 +18,7 @@
 
 use lssa_driver::pipelines::{compile, CompilerConfig};
 use lssa_driver::workloads::{self, Scale, Workload};
-use lssa_vm::CompiledProgram;
+use lssa_vm::{CompiledProgram, ExecOptions};
 use std::time::{Duration, Instant};
 
 /// Step budget for benchmark runs.
@@ -52,7 +52,8 @@ pub fn measure(program: &CompiledProgram, runs: usize) -> Measurement {
     let mut instructions = 0;
     for _ in 0..runs {
         let start = Instant::now();
-        let out = lssa_vm::run_decoded(&decoded, "main", MAX_STEPS).expect("benchmark run");
+        let out = lssa_vm::run_decoded_with(&decoded, "main", MAX_STEPS, ExecOptions::default())
+            .expect("benchmark run");
         times.push(start.elapsed());
         instructions = out.stats.instructions;
         assert_eq!(out.stats.heap.live, 0, "benchmark leaked");

@@ -293,33 +293,6 @@ pub fn compile_with_report(program: &Program, opts: PipelineOptions) -> (Module,
     (module, report)
 }
 
-/// Compiles a batch of λrc programs with one call, merging every
-/// compilation's per-pass statistics into a single [`PipelineReport`]
-/// (phase by phase, see [`PipelineReport::merge`]).
-///
-/// This is the core-level batch entry point for callers that already hold
-/// lowered λrc programs. For whole-source batches, `lssa-driver`'s
-/// `pipelines::compile_batch` is the source-level analogue: it adds
-/// parsing, per-source error capture, and the shared parallel executor
-/// (and therefore drives compilations itself rather than through this
-/// function).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`compile`].
-pub fn compile_batch(programs: &[Program], opts: PipelineOptions) -> (Vec<Module>, PipelineReport) {
-    let mut merged = PipelineReport::default();
-    let modules = programs
-        .iter()
-        .map(|p| {
-            let (module, report) = compile_with_report(p, opts);
-            merged.merge(&report);
-            module
-        })
-        .collect();
-    (modules, merged)
-}
-
 fn maybe_verify(module: &Module, opts: PipelineOptions, phase: &str) {
     if !opts.verify {
         return;
@@ -449,43 +422,6 @@ def main() := ap42(k(10))
         let (_, minimal) = compile_with_report(&rc, PipelineOptions::no_opt());
         let names: Vec<&str> = minimal.phases.iter().map(|p| p.pipeline.as_str()).collect();
         assert_eq!(names, vec!["lower-cfg", "tco"]);
-    }
-
-    #[test]
-    fn compile_batch_merges_reports_across_programs() {
-        let a = insert_rc(&parse_program(LIST_SUM).unwrap());
-        let b = insert_rc(&parse_program("def main() := 6 * 7").unwrap());
-        let (modules, report) = compile_batch(&[a.clone(), b], PipelineOptions::full());
-        assert_eq!(modules.len(), 2);
-        assert!(modules.iter().all(|m| m.func_by_name("main").is_some()));
-        // Each phase appears once, with both compilations folded in.
-        let names: Vec<&str> = report.phases.iter().map(|p| p.pipeline.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "rgn-opt",
-                "lower-cfg",
-                "generic-opt",
-                "rc-opt",
-                "tco",
-                "cleanup"
-            ]
-        );
-        let (_, single) = compile_with_report(&a, PipelineOptions::full());
-        let batch_lower = report
-            .phases
-            .iter()
-            .find(|p| p.pipeline == "lower-cfg")
-            .unwrap();
-        let single_lower = single
-            .phases
-            .iter()
-            .find(|p| p.pipeline == "lower-cfg")
-            .unwrap();
-        assert!(
-            batch_lower.passes[0].runs > single_lower.passes[0].runs,
-            "merged report must accumulate runs across the batch"
-        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 use crate::pipelines::{compile, Backend, CompilerConfig};
 use crate::workloads::Workload;
 use lssa_core::PipelineOptions;
-use lssa_vm::{DecodeOptions, OpClass};
+use lssa_vm::{DecodeOptions, ExecOptions, OpClass};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -155,7 +155,9 @@ pub fn measure_workload(w: &Workload, runs: usize, max_steps: u64) -> BenchRecor
             let program = if cfg.rc_opt { &program } else { &program_norc };
             let decoded = program.decoded(cfg.decode);
             let start = Instant::now();
-            let out = lssa_vm::run_decoded(&decoded, "main", max_steps).expect("benchmark");
+            let out =
+                lssa_vm::run_decoded_with(&decoded, "main", max_steps, ExecOptions::default())
+                    .expect("benchmark");
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(out.stats.heap.live, 0, "benchmark leaked");
             let stats = out.vm_stats;

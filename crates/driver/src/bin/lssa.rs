@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats]
-//!                 [--no-fuse] [--no-renumber] [--no-rc-opt] [--print-ir-after-all]
+//!                 [--no-fuse] [--no-rc-opt] [--print-ir-after-all]
 //!                 [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]
 //! lssa check <file>... [--format human|json]
 //! lssa lint <file>... [--format human|json]
@@ -14,9 +14,10 @@
 //! lssa bench --diff <old.json> <new.json>
 //! ```
 //!
-//! Every verb rejects a `--flag` it does not know with exit code **2**,
-//! naming the flag, so a script passing a retired or misspelt knob fails
-//! loudly instead of silently measuring the default.
+//! Every verb rejects a `--flag` it does not know, or a value-taking flag
+//! given without its value, with exit code **2**, naming the flag, so a
+//! script passing a retired or misspelt knob — or a budget with no number
+//! — fails loudly instead of silently measuring the default.
 //!
 //! Files ending in `.lssa` are parsed by the S-expression text frontend
 //! (`lssa-syntax`); anything else uses the built-in surface language. The
@@ -46,11 +47,11 @@
 //! pipeline) after the program's result; `--vm-stats` prints the run-side
 //! mirror — the VM's per-opcode-class table (executed counts, heap
 //! allocations, frame-pool behaviour, max frame depth, wall time),
-//! including the fused-superinstruction rows. `--no-fuse` disables the
-//! decode-time superinstruction fusion pass, `--no-renumber` the
-//! decode-time register compaction, and `--no-rc-opt` the compile-time
-//! reference-count optimization pass — one flag per knob, for ablation
-//! measurements. `--print-ir-after-all` dumps the
+//! including the fused-superinstruction rows and the register slots saved
+//! by the (always-on) decode-time register renumbering. `--no-fuse`
+//! disables the decode-time superinstruction fusion pass and `--no-rc-opt`
+//! the compile-time reference-count optimization pass — one flag per knob,
+//! for ablation measurements. `--print-ir-after-all` dumps the
 //! module to stderr after every pass, MLIR-style.
 //!
 //! `run` executes under resource governance (see `lssa_driver::jobs`):
@@ -76,8 +77,8 @@
 //! is a real change).
 
 use lssa_driver::pipelines::{
-    compile_and_run_ast_vm, compile_and_run_with_report_vm, compile_ast_with_report, frontend,
-    frontend_ast, Backend, CompilerConfig,
+    compile_ast_with_report, compile_with_report, frontend, frontend_ast, Backend, CompilerConfig,
+    PipelineError,
 };
 use lssa_driver::workloads::{all, by_name, Scale, Workload};
 use lssa_lambda::ast::Program;
@@ -92,14 +93,15 @@ const MAX_STEPS: u64 = 2_000_000_000;
 /// 0 = success, 1 = any other error, 3 = resource exhaustion.
 const EXIT_RESOURCE: u8 = 3;
 
-/// Exit code for a command line naming a flag its verb does not accept.
-const EXIT_UNKNOWN_FLAG: u8 = 2;
+/// Exit code for a command line naming a flag its verb does not accept, or
+/// a value-taking flag without its value.
+const EXIT_BAD_FLAG: u8 = 2;
 
 /// The flags a verb accepts, as `(flag, takes a value)` pairs; `None` for
 /// an unknown verb (which `run` reports).
 fn verb_flags(verb: &str) -> Option<Vec<(&'static str, bool)>> {
     // What `decode_options` and `exec_options` read.
-    let decode = [("--no-fuse", false), ("--no-renumber", false)];
+    let decode = [("--no-fuse", false)];
     let budgets = [
         ("--step-budget", true),
         ("--heap-budget", true),
@@ -139,7 +141,8 @@ fn verb_flags(verb: &str) -> Option<Vec<(&'static str, bool)>> {
     Some(flags)
 }
 
-/// Rejects the first `--flag` the verb does not accept. Values of
+/// Rejects the first `--flag` the verb does not accept, and a value-taking
+/// flag that ends the command line without its value. Values of
 /// value-taking flags are skipped, so `--out --weird-name.json` is a
 /// file name, not a flag.
 fn check_flags(args: &[String]) -> Result<(), String> {
@@ -156,7 +159,9 @@ fn check_flags(args: &[String]) -> Result<(), String> {
         }
         match flags.iter().find(|(f, _)| f == a) {
             Some(&(_, true)) => {
-                rest.next();
+                if rest.next().is_none() {
+                    return Err(format!("flag `{a}` needs a value"));
+                }
             }
             Some(&(_, false)) => {}
             None => return Err(format!("unknown flag `{a}` for `lssa {verb}`")),
@@ -169,7 +174,7 @@ fn print_usage() {
     eprintln!();
     eprintln!("usage:");
     eprintln!(
-        "  lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats] [--no-fuse] [--no-renumber] [--no-rc-opt] [--print-ir-after-all] [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]"
+        "  lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats] [--no-fuse] [--no-rc-opt] [--print-ir-after-all] [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]"
     );
     eprintln!("  lssa check <file>... [--format human|json]");
     eprintln!("  lssa lint <file>... [--format human|json]");
@@ -187,7 +192,7 @@ fn main() -> ExitCode {
     if let Err(msg) = check_flags(&args) {
         eprintln!("error: {msg}");
         print_usage();
-        return ExitCode::from(EXIT_UNKNOWN_FLAG);
+        return ExitCode::from(EXIT_BAD_FLAG);
     }
     match run(&args) {
         Ok(code) => code,
@@ -211,11 +216,8 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 }
 
 fn decode_options(args: &[String]) -> DecodeOptions {
-    // The two decode knobs are orthogonal: `--no-fuse` leaves renumbering
-    // on, and vice versa.
-    DecodeOptions::fused()
-        .with_fuse(!has_flag(args, "--no-fuse"))
-        .with_renumber(!has_flag(args, "--no-renumber"))
+    // `--no-fuse` leaves register renumbering on.
+    DecodeOptions::fused().with_fuse(!has_flag(args, "--no-fuse"))
 }
 
 fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
@@ -335,35 +337,29 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     config.backend = Backend::Mlir(opts);
                 }
             }
-            let (out, report) = if is_lssa(file) {
+            let compiled = if is_lssa(file) {
                 let program = match load_lssa(file, &src) {
                     Ok(p) => p,
                     Err(code) => return Ok(code),
                 };
-                let (compiled, report) =
-                    compile_ast_with_report(&program, config).map_err(|e| e.to_string())?;
-                let out =
-                    match lssa_vm::run_program_opts(&compiled, "main", MAX_STEPS, decode, exec) {
-                        Ok(out) => out,
-                        // A budget/deadline/cancellation abort is a governed
-                        // outcome, not a usage error: report it plainly and exit
-                        // with the documented resource code.
-                        Err(e) if e.kind.is_resource() => {
-                            eprintln!("execution error: {e}");
-                            return Ok(ExitCode::from(EXIT_RESOURCE));
-                        }
-                        Err(e) => return Err(format!("execution error: {e}")),
-                    };
-                (out, report)
+                compile_ast_with_report(&program, config)
             } else {
-                match compile_and_run_with_report_vm(&src, config, MAX_STEPS, decode, exec) {
-                    Ok(pair) => pair,
-                    Err(e) if e.vm_kind().is_some_and(|k| k.is_resource()) => {
-                        eprintln!("{e}");
-                        return Ok(ExitCode::from(EXIT_RESOURCE));
-                    }
-                    Err(e) => return Err(e.to_string()),
+                compile_with_report(&src, config)
+            };
+            let (compiled, report) = compiled.map_err(|e| e.to_string())?;
+            let decoded = compiled.decoded(decode);
+            let out = lssa_vm::run_decoded_with(&decoded, "main", MAX_STEPS, exec)
+                .map_err(PipelineError::from);
+            let out = match out {
+                Ok(out) => out,
+                // A budget/deadline/cancellation abort is a governed outcome,
+                // not a usage error: report it plainly and exit with the
+                // documented resource code.
+                Err(e) if e.vm_kind().is_some_and(|k| k.is_resource()) => {
+                    eprintln!("{e}");
+                    return Ok(ExitCode::from(EXIT_RESOURCE));
                 }
+                Err(e) => return Err(e.to_string()),
             };
             println!("{}", out.rendered);
             eprintln!(
@@ -576,157 +572,73 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 return Ok(ExitCode::SUCCESS);
             }
             let name = args.get(1).ok_or("missing benchmark name")?;
-            if is_lssa(name) {
-                // A `.lssa` file: time it across all configurations, like a
-                // named workload (but ineligible for the committed JSON
-                // baseline, which is keyed by workload name and scale).
-                if has_flag(args, "--json") {
-                    return Err("--json measures the built-in workloads only".to_string());
+            let want_json = has_flag(args, "--json");
+            let want_check = has_flag(args, "--check");
+            // What the per-config loop below times: a `.lssa` file, or the
+            // named workloads (parsed up front, like the file, so each row
+            // times compile + decode + run).
+            let programs: Vec<(String, Program)> = if is_lssa(name) {
+                // Ineligible for the committed JSON baseline, which is keyed
+                // by workload name and scale.
+                if want_json || want_check {
+                    return Err(
+                        "--json and --check measure the built-in workloads only".to_string()
+                    );
                 }
                 let src = std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?;
-                let program = match load_lssa(name, &src) {
-                    Ok(p) => p,
+                match load_lssa(name, &src) {
+                    Ok(p) => vec![(name.clone(), p)],
                     Err(code) => return Ok(code),
+                }
+            } else {
+                let (scale, scale_label) = match flag_value(args, "--scale").unwrap_or("test") {
+                    // `quick` is the CI alias for the smallest inputs.
+                    "test" | "quick" => (Scale::Test, "test"),
+                    "bench" => (Scale::Bench, "bench"),
+                    "stress" => (Scale::Stress, "stress"),
+                    other => return Err(format!("unknown scale `{other}`")),
                 };
-                let decode = decode_options(args);
-                let exec = exec_options(args)?;
+                let selected: Vec<Workload> = if name == "all" {
+                    all(scale)
+                } else {
+                    vec![by_name(name, scale)
+                        .ok_or_else(|| format!("unknown benchmark `{name}`"))?]
+                };
+                if want_json && want_check {
+                    return Err(
+                        "--json (regenerate) and --check (compare) are exclusive".to_string()
+                    );
+                }
+                if want_json || want_check {
+                    return bench_records(args, name, &selected, scale_label);
+                }
+                selected
+                    .iter()
+                    .map(|w| {
+                        let p = lssa_lambda::parse_program(&w.src)
+                            .map_err(|e| format!("{}: {e}", w.name))?;
+                        Ok((w.name.to_string(), p))
+                    })
+                    .collect::<Result<_, String>>()?
+            };
+            let decode = decode_options(args);
+            let exec = exec_options(args)?;
+            for (name, program) in &programs {
                 for config in lssa_driver::diff::configs() {
                     let start = std::time::Instant::now();
-                    let out = compile_and_run_ast_vm(&program, config, MAX_STEPS, decode, exec)
-                        .map_err(|e| e.to_string())?;
+                    let (compiled, _) =
+                        compile_ast_with_report(program, config).map_err(|e| e.to_string())?;
+                    let out = lssa_vm::run_decoded_with(
+                        &compiled.decoded(decode),
+                        "main",
+                        MAX_STEPS,
+                        exec,
+                    )
+                    .map_err(|e| PipelineError::from(e).to_string())?;
                     let elapsed = start.elapsed();
                     println!(
                         "{:20} {:28} {:>12?} {:>14} instrs  result={}",
                         name,
-                        config.label(),
-                        elapsed,
-                        out.stats.instructions,
-                        out.rendered
-                    );
-                }
-                return Ok(ExitCode::SUCCESS);
-            }
-            let (scale, scale_label) = match flag_value(args, "--scale").unwrap_or("test") {
-                // `quick` is the CI alias for the smallest inputs.
-                "test" | "quick" => (Scale::Test, "test"),
-                "bench" => (Scale::Bench, "bench"),
-                "stress" => (Scale::Stress, "stress"),
-                other => return Err(format!("unknown scale `{other}`")),
-            };
-            let selected: Vec<Workload> = if name == "all" {
-                all(scale)
-            } else {
-                vec![by_name(name, scale).ok_or_else(|| format!("unknown benchmark `{name}`"))?]
-            };
-            let want_json = has_flag(args, "--json");
-            let want_check = has_flag(args, "--check");
-            if want_json && want_check {
-                return Err("--json (regenerate) and --check (compare) are exclusive".to_string());
-            }
-            if want_json || want_check {
-                if has_flag(args, "--no-fuse") {
-                    return Err(format!(
-                        "--{} always measures every knob configuration; drop --no-fuse",
-                        if want_json { "json" } else { "check" }
-                    ));
-                }
-                // The default path is the committed full-suite baseline;
-                // never let a single-workload run clobber it silently (and
-                // fail before spending minutes measuring).
-                let path = match flag_value(args, "--out") {
-                    Some(out) => out.to_string(),
-                    None if name == "all" || want_check => {
-                        lssa_driver::benchjson::default_path(scale_label)
-                    }
-                    None => {
-                        return Err(format!(
-                            "bench {name} --json would overwrite the full-suite \
-                             {}; pass --out FILE (or bench all)",
-                            lssa_driver::benchjson::default_path(scale_label)
-                        ))
-                    }
-                };
-                // Read the baseline up front: fail before spending minutes
-                // measuring if it is missing or malformed.
-                let baseline = if want_check {
-                    let text =
-                        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                    let mut rows = lssa_driver::benchjson::parse_baseline(&text)
-                        .map_err(|e| format!("{path}: {e}"))?;
-                    // A partial run only checks the selected workloads.
-                    rows.retain(|b| selected.iter().any(|w| w.name == b.name));
-                    Some(rows)
-                } else {
-                    None
-                };
-                // Interleaved rounds per workload; raise on a noisy
-                // machine so every config's best time catches a quiet
-                // window (the row keeps the minimum, see `benchjson`).
-                let bench_runs = match flag_value(args, "--runs") {
-                    None => 5,
-                    Some(r) => match r.parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => return Err(format!("bad --runs `{r}`")),
-                    },
-                };
-                let records = lssa_driver::benchjson::run_suite(&selected, bench_runs, MAX_STEPS);
-                for r in &records {
-                    let full = r.row("full").expect("full row");
-                    println!(
-                        "{:20} full {:>9.3}ms   nofuse/full {:.3}x   norc/full {:.3}x   \
-                         ({:>4.1}% fused)",
-                        r.name,
-                        full.wall_ms,
-                        r.ratio("full_nofuse"),
-                        r.ratio("full_norc"),
-                        full.fused_share * 100.0,
-                    );
-                }
-                if let Some(baseline) = baseline {
-                    let tolerance = match flag_value(args, "--tolerance") {
-                        None => 20.0,
-                        Some(t) => t
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad --tolerance `{t}`"))?,
-                    };
-                    let outcome =
-                        lssa_driver::benchjson::check_against(&baseline, &records, tolerance);
-                    for f in &outcome.failures {
-                        eprintln!("REGRESSION: {f}");
-                    }
-                    eprintln!(
-                        "-- checked {} rows against {path} (tolerance {tolerance}%): {}",
-                        outcome.compared,
-                        if outcome.failures.is_empty() {
-                            "ok".to_string()
-                        } else {
-                            format!("{} regression(s)", outcome.failures.len())
-                        }
-                    );
-                    return Ok(if outcome.failures.is_empty() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    });
-                }
-                let json = lssa_driver::benchjson::render_json(scale_label, bench_runs, &records);
-                std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
-                eprintln!("-- wrote {path}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            let decode = decode_options(args);
-            let exec = exec_options(args)?;
-            for w in &selected {
-                for config in lssa_driver::diff::configs() {
-                    let start = std::time::Instant::now();
-                    let out = lssa_driver::pipelines::compile_and_run_vm(
-                        &w.src, config, MAX_STEPS, decode, exec,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let elapsed = start.elapsed();
-                    println!(
-                        "{:20} {:28} {:>12?} {:>14} instrs  result={}",
-                        w.name,
                         config.label(),
                         elapsed,
                         out.stats.instructions,
@@ -738,4 +650,101 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         other => Err(format!("unknown command `{other}`")),
     }
+}
+
+/// `bench --json` (write the per-knob records) and `bench --check` (compare
+/// them against the committed baseline) over the selected workloads.
+fn bench_records(
+    args: &[String],
+    name: &str,
+    selected: &[Workload],
+    scale_label: &str,
+) -> Result<ExitCode, String> {
+    let want_json = has_flag(args, "--json");
+    let want_check = has_flag(args, "--check");
+    if has_flag(args, "--no-fuse") {
+        return Err(format!(
+            "--{} always measures every knob configuration; drop --no-fuse",
+            if want_json { "json" } else { "check" }
+        ));
+    }
+    // The default path is the committed full-suite baseline; never let a
+    // single-workload run clobber it silently (and fail before spending
+    // minutes measuring).
+    let path = match flag_value(args, "--out") {
+        Some(out) => out.to_string(),
+        None if name == "all" || want_check => lssa_driver::benchjson::default_path(scale_label),
+        None => {
+            return Err(format!(
+                "bench {name} --json would overwrite the full-suite \
+                 {}; pass --out FILE (or bench all)",
+                lssa_driver::benchjson::default_path(scale_label)
+            ))
+        }
+    };
+    // Read the baseline up front: fail before spending minutes measuring if
+    // it is missing or malformed.
+    let baseline = if want_check {
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+        let mut rows =
+            lssa_driver::benchjson::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?;
+        // A partial run only checks the selected workloads.
+        rows.retain(|b| selected.iter().any(|w| w.name == b.name));
+        Some(rows)
+    } else {
+        None
+    };
+    // Interleaved rounds per workload; raise on a noisy machine so every
+    // config's best time catches a quiet window (the row keeps the minimum,
+    // see `benchjson`).
+    let bench_runs = match flag_value(args, "--runs") {
+        None => 5,
+        Some(r) => match r.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => return Err(format!("bad --runs `{r}`")),
+        },
+    };
+    let records = lssa_driver::benchjson::run_suite(selected, bench_runs, MAX_STEPS);
+    for r in &records {
+        let full = r.row("full").expect("full row");
+        println!(
+            "{:20} full {:>9.3}ms   nofuse/full {:.3}x   norc/full {:.3}x   \
+             ({:>4.1}% fused)",
+            r.name,
+            full.wall_ms,
+            r.ratio("full_nofuse"),
+            r.ratio("full_norc"),
+            full.fused_share * 100.0,
+        );
+    }
+    if let Some(baseline) = baseline {
+        let tolerance = match flag_value(args, "--tolerance") {
+            None => 20.0,
+            Some(t) => t
+                .parse::<f64>()
+                .map_err(|_| format!("bad --tolerance `{t}`"))?,
+        };
+        let outcome = lssa_driver::benchjson::check_against(&baseline, &records, tolerance);
+        for f in &outcome.failures {
+            eprintln!("REGRESSION: {f}");
+        }
+        eprintln!(
+            "-- checked {} rows against {path} (tolerance {tolerance}%): {}",
+            outcome.compared,
+            if outcome.failures.is_empty() {
+                "ok".to_string()
+            } else {
+                format!("{} regression(s)", outcome.failures.len())
+            }
+        );
+        return Ok(if outcome.failures.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        });
+    }
+    let json = lssa_driver::benchjson::render_json(scale_label, bench_runs, &records);
+    std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
+    eprintln!("-- wrote {path}");
+    Ok(ExitCode::SUCCESS)
 }

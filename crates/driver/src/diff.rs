@@ -7,9 +7,9 @@
 //! the rgn-only pipeline and the unoptimized pipeline — produce the same
 //! value *and* release every heap object.
 
-use crate::pipelines::{compile_and_run_ast_opts, frontend_ast, CompilerConfig};
+use crate::pipelines::{compile_ast_with_report, frontend_ast, CompilerConfig, PipelineError};
 use lssa_lambda::ast::Program;
-use lssa_vm::DecodeOptions;
+use lssa_vm::RunOutcome;
 
 /// Outcome of one differential test.
 #[derive(Debug, Clone)]
@@ -75,12 +75,15 @@ pub fn run_differential_ast(name: &str, program: &Program, max_steps: u64) -> Di
     if oracle.stats.live != 0 {
         return fail(format!("oracle leaked {} objects", oracle.stats.live));
     }
+    let run = |config| -> Result<RunOutcome, PipelineError> {
+        let (compiled, _) = compile_ast_with_report(program, config)?;
+        Ok(lssa_vm::run_program(&compiled, "main", max_steps)?)
+    };
     for config in configs() {
-        let out =
-            match compile_and_run_ast_opts(program, config, max_steps, DecodeOptions::default()) {
-                Ok(o) => o,
-                Err(e) => return fail(format!("[{}] {e}", config.label())),
-            };
+        let out = match run(config) {
+            Ok(o) => o,
+            Err(e) => return fail(format!("[{}] {e}", config.label())),
+        };
         if out.rendered != oracle.rendered {
             return fail(format!(
                 "[{}] produced {:?}, oracle {:?}",

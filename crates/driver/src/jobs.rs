@@ -20,12 +20,12 @@
 //!   and the shared [`DecodedProgram`] survived the abort
 //!   ([`JobReport::probe_ok`]).
 //!
-//! Batches go through [`run_jobs`], which layers [`BatchRunner`]'s
-//! quarantine mode on top so even a panic *outside* the VM (compile,
-//! render) is a per-job failure. Reports are deterministic: everything
-//! except [`JobReport::duration`] is a pure function of (source, spec).
+//! Batch harnesses (the `gauntlet` binary) shard jobs across
+//! [`crate::par::BatchRunner::map_quarantined`], so even a panic *outside*
+//! the VM (compile, render) is a per-job failure. Reports are
+//! deterministic: everything except [`JobReport::duration`] is a pure
+//! function of (source, spec).
 
-use crate::par::BatchRunner;
 use crate::pipelines::{compile, CompilerConfig, PipelineError};
 use lssa_vm::{CancelToken, DecodeOptions, DecodedProgram, ExecOptions, Vm, VmError, VmErrorKind};
 use std::fmt;
@@ -397,28 +397,6 @@ fn settle(vm: &mut Vm<'_>) -> u64 {
     drift + stats.allocs.abs_diff(stats.frees)
 }
 
-/// Runs one job per source across a [`BatchRunner`] in quarantine mode:
-/// any panic that escapes a job (even outside the VM) is folded into that
-/// job's report as [`JobError::Panicked`], and report order matches input
-/// order regardless of worker count.
-pub fn run_jobs(sources: &[&str], spec: &JobSpec, runner: &BatchRunner) -> Vec<JobReport> {
-    runner
-        .map_quarantined(sources, |src| run_job(src, spec))
-        .into_iter()
-        .map(|r| match r {
-            Ok(report) => report,
-            Err(p) => JobReport {
-                outcome: Err(JobError::Panicked { message: p.message }),
-                attempts: 1,
-                steps: 0,
-                leaked: 0,
-                probe_ok: None,
-                duration: Duration::ZERO,
-            },
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,23 +496,6 @@ mod tests {
         assert_eq!(report.outcome, Err(JobError::Cancelled));
         assert_eq!(report.leaked, 0);
         assert_eq!(report.probe_ok, Some(true));
-    }
-
-    #[test]
-    fn batch_reports_are_input_ordered_and_quarantined() {
-        let exec = ExecOptions::default().with_limits(JobLimits::default().with_steps(50_000));
-        let spec = spec_with(exec);
-        let sources = [OK, LOOP, "def main( := 1", OK];
-        let runner = BatchRunner::new().with_jobs(2);
-        let reports = run_jobs(&sources, &spec, &runner);
-        assert_eq!(reports.len(), 4);
-        assert_eq!(reports[0].outcome, Ok("42".to_string()));
-        assert_eq!(reports[1].outcome, Err(JobError::StepBudget));
-        assert!(matches!(
-            reports[2].outcome,
-            Err(JobError::CompileError { .. })
-        ));
-        assert_eq!(reports[3].outcome, Ok("42".to_string()));
     }
 
     #[test]

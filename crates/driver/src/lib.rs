@@ -5,7 +5,8 @@
 //! - [`baseline`] — the `leanc` model: direct λrc → CFG lowering with
 //!   heuristic tail calls (the Figure 9 comparison target),
 //! - [`pipelines`] — compiler configurations (λ simplifier on/off × backend
-//!   × region optimizations) matching Figures 9 and 10,
+//!   × region optimizations) matching Figures 9 and 10, and the compile
+//!   entry points,
 //! - [`diff`] — differential testing against the reference interpreter,
 //! - [`conformance`] — the ≥648-program corpus (§V-A's test-suite analogue),
 //! - [`workloads`] — the eight benchmarks of §V-B,
@@ -17,9 +18,22 @@
 //!   `correctness` binary, [`pipelines::compile_batch`], and the
 //!   integration-test harnesses).
 //!
+//! Every caller takes the same three steps — compile, decode, run — and
+//! [`compile_and_run`] is the one-call convenience under the default
+//! decode and execution options:
+//!
 //! ```
-//! use lssa_driver::pipelines::{compile_and_run, CompilerConfig};
+//! use lssa_driver::pipelines::{compile, compile_and_run, CompilerConfig};
+//! use lssa_vm::{run_decoded_with, DecodeOptions, ExecOptions, JobLimits};
+//!
 //! let out = compile_and_run("def main() := 6 * 7", CompilerConfig::mlir(), 100_000).unwrap();
+//! assert_eq!(out.rendered, "42");
+//!
+//! // The same three steps with explicit options: no fusion, a step budget.
+//! let program = compile("def main() := 6 * 7", CompilerConfig::mlir()).unwrap();
+//! let decoded = program.decoded(DecodeOptions::default().with_fuse(false));
+//! let exec = ExecOptions::default().with_limits(JobLimits::default().with_steps(1_000));
+//! let out = run_decoded_with(&decoded, "main", 100_000, exec).unwrap();
 //! assert_eq!(out.rendered, "42");
 //! ```
 

@@ -3,8 +3,9 @@
 //! PR 2 and PR 3 each hand-rolled their own `std::thread::scope` sharding
 //! (the workload smoke oracle, the conformance suite). This module replaces
 //! those one-offs with a single chunked work-queue executor that all batch
-//! consumers share: the `correctness` binary, [`crate::pipelines::compile_batch`],
-//! and the integration-test harnesses.
+//! consumers share: the `correctness` binary, the `gauntlet` binary (in
+//! quarantine mode), [`crate::pipelines::compile_batch`], and the
+//! integration-test harnesses.
 //!
 //! Design:
 //!

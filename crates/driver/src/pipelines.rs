@@ -7,11 +7,21 @@
 //!     λrc ──lp──▶ rgn ──[region opts]──▶ CFG   (the paper's backend)
 //!                                 └──▶ bytecode ──▶ VM
 //! ```
+//!
+//! Every caller takes the same three steps: **compile** ([`compile`],
+//! [`compile_with_report`], or [`compile_ast_with_report`] for an
+//! already-parsed program), **decode** ([`CompiledProgram::decoded`], with
+//! the caller's [`lssa_vm::DecodeOptions`]) and **run**
+//! ([`lssa_vm::run_decoded_with`], with the caller's
+//! [`lssa_vm::ExecOptions`]). [`compile_and_run`] composes the three under
+//! the default options; [`compile_batch`] shards the compile step across
+//! threads. A [`lssa_vm::VmError`] converts into a [`PipelineError`] of
+//! stage `execution`, so `?` carries it through a pipeline.
 
 use lssa_core::pipeline::{PipelineOptions, PipelineReport};
 use lssa_lambda::ast::Program;
 use lssa_lambda::simplify::SimplifyOptions;
-use lssa_vm::{CompiledProgram, DecodeOptions, ExecOptions, RunOutcome};
+use lssa_vm::{CompiledProgram, RunOutcome, VmError};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -115,7 +125,7 @@ pub struct PipelineError {
     /// carries the structured [`lssa_vm::VmErrorKind`] so callers (the CLI's
     /// exit-code mapping, the [`crate::jobs`] taxonomy) can distinguish
     /// resource-governance aborts from program faults.
-    pub vm: Option<lssa_vm::VmError>,
+    pub vm: Option<VmError>,
 }
 
 impl PipelineError {
@@ -134,6 +144,16 @@ impl fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
+
+impl From<VmError> for PipelineError {
+    fn from(e: VmError) -> PipelineError {
+        PipelineError {
+            stage: "execution",
+            message: e.to_string(),
+            vm: Some(e),
+        }
+    }
+}
 
 /// Parses and front-lowers source into λrc under a config.
 ///
@@ -176,24 +196,12 @@ pub fn frontend_ast(program: &Program, config: CompilerConfig) -> Result<Program
     Ok(lssa_lambda::insert_rc(&program))
 }
 
-/// Compiles λrc to bytecode under a config's backend.
-///
-/// # Errors
-///
-/// Returns backend failures.
-pub fn backend(rc: &Program, config: CompilerConfig) -> Result<CompiledProgram, PipelineError> {
-    backend_with_report(rc, config).map(|(p, _)| p)
-}
-
-/// [`backend`], also returning the backend's per-pass statistics.
+/// Compiles λrc to bytecode under a config's backend, also returning the
+/// backend's per-pass statistics.
 ///
 /// The report is `None` for the baseline backend, which lowers directly
 /// without a pass pipeline.
-///
-/// # Errors
-///
-/// Returns backend failures.
-pub fn backend_with_report(
+fn backend_with_report(
     rc: &Program,
     config: CompilerConfig,
 ) -> Result<(CompiledProgram, Option<PipelineReport>), PipelineError> {
@@ -232,8 +240,9 @@ pub fn compile(src: &str, config: CompilerConfig) -> Result<CompiledProgram, Pip
     compile_with_report(src, config).map(|(p, _)| p)
 }
 
-/// [`compile`], also returning the backend's per-pass statistics (see
-/// [`backend_with_report`]).
+/// [`compile`], also returning the backend's per-pass statistics (`None`
+/// for the baseline backend, which lowers directly without a pass
+/// pipeline).
 ///
 /// # Errors
 ///
@@ -290,72 +299,11 @@ pub fn compile_ast_with_report(
     backend_with_report(&rc, config)
 }
 
-/// [`compile_batch`] over already-parsed programs: shards compilation across
-/// `jobs` worker threads, returning per-program outcomes in input order and
-/// the merged backend statistics.
-pub fn compile_batch_asts(
-    programs: &[Program],
-    config: CompilerConfig,
-    jobs: usize,
-) -> (Vec<Result<CompiledProgram, PipelineError>>, PipelineReport) {
-    let outcomes = crate::par::BatchRunner::new()
-        .with_jobs(jobs)
-        .map(programs, |p| compile_ast_with_report(p, config));
-    let mut merged = PipelineReport::default();
-    let results = outcomes
-        .into_iter()
-        .map(|outcome| {
-            outcome.map(|(program, report)| {
-                if let Some(report) = report {
-                    merged.merge(&report);
-                }
-                program
-            })
-        })
-        .collect();
-    (results, merged)
-}
-
-/// Compiles an already-parsed program and runs `main` with explicit decode
-/// options.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_ast_opts(
-    program: &Program,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_ast_vm(program, config, max_steps, decode, ExecOptions::default())
-}
-
-/// [`compile_and_run_ast_opts`] with explicit execution options too — the
-/// fully-parameterized AST entry point (decode knobs and resource
-/// budgets).
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_ast_vm(
-    program: &Program,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-    exec: ExecOptions,
-) -> Result<RunOutcome, PipelineError> {
-    let (compiled, _) = compile_ast_with_report(program, config)?;
-    lssa_vm::run_program_opts(&compiled, "main", max_steps, decode, exec).map_err(|e| {
-        PipelineError {
-            stage: "execution",
-            message: e.to_string(),
-            vm: Some(e),
-        }
-    })
-}
-
-/// Compiles and runs `main`.
+/// Compiles source and runs `main` under the default decode and execution
+/// options: the one-call convenience for [`compile`] →
+/// [`CompiledProgram::decoded`] → [`lssa_vm::run_decoded_with`]. Callers
+/// that need other options take the three steps themselves (see the
+/// module docs).
 ///
 /// # Errors
 ///
@@ -365,90 +313,8 @@ pub fn compile_and_run(
     config: CompilerConfig,
     max_steps: u64,
 ) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_with_report(src, config, max_steps).map(|(o, _)| o)
-}
-
-/// [`compile_and_run`] with explicit decode options (`--no-fuse` plumbs
-/// through here).
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_opts(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_with_report_opts(src, config, max_steps, decode).map(|(o, _)| o)
-}
-
-/// [`compile_and_run_opts`] with explicit execution options too — the
-/// fully-parameterized source entry point (`--no-renumber`, `--no-fuse`,
-/// and the resource budgets).
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_vm(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-    exec: ExecOptions,
-) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_with_report_vm(src, config, max_steps, decode, exec).map(|(o, _)| o)
-}
-
-/// [`compile_and_run`], also returning the backend's per-pass statistics.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_with_report(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-) -> Result<(RunOutcome, Option<PipelineReport>), PipelineError> {
-    compile_and_run_with_report_opts(src, config, max_steps, DecodeOptions::default())
-}
-
-/// [`compile_and_run_with_report`] with explicit decode options.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_with_report_opts(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-) -> Result<(RunOutcome, Option<PipelineReport>), PipelineError> {
-    compile_and_run_with_report_vm(src, config, max_steps, decode, ExecOptions::default())
-}
-
-/// [`compile_and_run_with_report_opts`] with explicit execution options.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_with_report_vm(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-    exec: ExecOptions,
-) -> Result<(RunOutcome, Option<PipelineReport>), PipelineError> {
-    let (program, report) = compile_with_report(src, config)?;
-    let outcome =
-        lssa_vm::run_program_opts(&program, "main", max_steps, decode, exec).map_err(|e| {
-            PipelineError {
-                stage: "execution",
-                message: e.to_string(),
-                vm: Some(e),
-            }
-        })?;
-    Ok((outcome, report))
+    let program = compile(src, config)?;
+    Ok(lssa_vm::run_program(&program, "main", max_steps)?)
 }
 
 #[cfg(test)]
@@ -480,6 +346,15 @@ def main() := sum(build(50))
             assert_eq!(out.rendered, "1275", "{}", c.label());
             assert_eq!(out.stats.heap.live, 0, "{}: leak", c.label());
         }
+    }
+
+    #[test]
+    fn execution_errors_keep_the_vm_error() {
+        let spin = "def spin(n) := spin(n + 1)\ndef main() := spin(0)";
+        let e = compile_and_run(spin, CompilerConfig::mlir(), 1_000).unwrap_err();
+        assert_eq!(e.stage, "execution");
+        assert_eq!(e.vm_kind(), Some(lssa_vm::VmErrorKind::StepBudget));
+        assert!(e.to_string().starts_with("execution error: "), "{e}");
     }
 
     #[test]
@@ -538,6 +413,17 @@ def main() := sum(build(50))
                 .find(|p| p.pipeline == "rgn-opt")
                 .expect("merged report keeps backend phases");
             assert!(rgn_opt.passes.iter().all(|s| s.runs >= 1));
+            // …accumulating runs across the batch rather than keeping one.
+            let (_, single) = compile_with_report(SRC, CompilerConfig::mlir()).unwrap();
+            let lower_runs = |r: &PipelineReport| {
+                r.phases
+                    .iter()
+                    .find(|p| p.pipeline == "lower-cfg")
+                    .expect("lower-cfg phase")
+                    .passes[0]
+                    .runs
+            };
+            assert!(lower_runs(&report) > lower_runs(&single.unwrap()));
         }
     }
 

@@ -14,6 +14,28 @@ fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
+/// Runs `cmd` and collects its output, failing the test if it has not
+/// exited within 60 s (a hang is the bug some callers guard against).
+fn output_within_60s(cmd: &mut Command) -> std::process::Output {
+    let mut child = cmd
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("{cmd:?} did not finish in 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+/// Diverges at run time; compiles on every backend.
+const SPIN: &str = "def spin(n) := spin(n + 1)\ndef main() := spin(0)\n";
+
 const PROGRAM: &str = r#"
 inductive List := Nil | Cons(h, t)
 def len(xs) := case xs of | Nil => 0 | Cons(h, t) => 1 + len(t) end
@@ -39,10 +61,7 @@ fn run_prints_result() {
 #[test]
 fn base_case_free_recursion_compiles_and_exhausts_the_step_budget() {
     let programs = [
-        (
-            "spin",
-            "def spin(n) := spin(n + 1)\ndef main() := spin(0)\n",
-        ),
+        ("spin", SPIN),
         (
             "mutual",
             "def f(n) := g(n + 1)\ndef g(n) := f(n * 2)\ndef main() := f(1)\n",
@@ -51,29 +70,60 @@ fn base_case_free_recursion_compiles_and_exhausts_the_step_budget() {
     for (name, src) in programs {
         let path = write_temp(name, src);
         for backend in ["mlir", "leanc"] {
-            let mut child = lssa()
-                .arg("run")
-                .arg(&path)
-                .args(["--step-budget", "1000", "--backend", backend])
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .unwrap();
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-            let status = loop {
-                if let Some(status) = child.try_wait().unwrap() {
-                    break status;
-                }
-                if std::time::Instant::now() > deadline {
-                    child.kill().ok();
-                    panic!("{name} on {backend}: `lssa run` did not finish in 60 s");
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            };
+            let status = output_within_60s(lssa().arg("run").arg(&path).args([
+                "--step-budget",
+                "1000",
+                "--backend",
+                backend,
+            ]))
+            .status;
             assert_eq!(status.code(), Some(3), "{name} on {backend}");
         }
         std::fs::remove_file(path).ok();
     }
+}
+
+/// The `.lssa` twin of [`SPIN`] takes the same run path as the surface
+/// source: exit code 3 and the identical `execution error: …` line.
+#[test]
+fn lssa_spin_exits_3_with_the_surface_sources_error_line() {
+    const SPIN_LSSA: &str = "(def spin (x0)
+  (let x1 1
+  (let x2 (call lean_nat_add x0 x1)
+  (let x3 (call spin x2)
+  (ret x3)))))
+
+(def main ()
+  (let x0 0
+  (let x1 (call spin x0)
+  (ret x1))))
+";
+    let surface = write_temp("spin-twin", SPIN);
+    let text = write_lssa("spin-twin", SPIN_LSSA);
+    for backend in ["mlir", "leanc"] {
+        let lines = [&surface, &text].map(|path| {
+            let out = output_within_60s(lssa().arg("run").arg(path).args([
+                "--step-budget",
+                "1000",
+                "--backend",
+                backend,
+            ]));
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(
+                out.status.code(),
+                Some(3),
+                "{path:?} on {backend}: {stderr}"
+            );
+            stderr
+                .lines()
+                .find(|l| l.starts_with("execution error: "))
+                .unwrap_or_else(|| panic!("{path:?} on {backend}: {stderr}"))
+                .to_string()
+        });
+        assert_eq!(lines[0], lines[1], "{backend}");
+    }
+    std::fs::remove_file(surface).ok();
+    std::fs::remove_file(text).ok();
 }
 
 #[test]
@@ -511,10 +561,11 @@ fn unknown_command_fails_with_usage() {
 fn unknown_flags_exit_2_and_name_the_flag() {
     let path = write_temp("flags", PROGRAM);
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/qsort.lssa");
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 6] = [
         &["run", corpus, "--bogus-flag"],
         &["run", corpus, "--dispatch", "match"],
         &["run", corpus, "--no-inline-cache"],
+        &["run", corpus, "--no-renumber"],
         &["check", corpus, "--write"],
         &["bench", "filter", "--scale", "quick", "--backend", "mlir"],
     ];
@@ -536,13 +587,7 @@ fn unknown_flags_exit_2_and_name_the_flag() {
     let out = lssa()
         .args(["run"])
         .arg(&path)
-        .args([
-            "--no-fuse",
-            "--no-renumber",
-            "--no-rc-opt",
-            "--step-budget",
-            "1000000",
-        ])
+        .args(["--no-fuse", "--no-rc-opt", "--step-budget", "1000000"])
         .output()
         .unwrap();
     assert!(
@@ -552,6 +597,32 @@ fn unknown_flags_exit_2_and_name_the_flag() {
     );
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3");
     std::fs::remove_file(path).ok();
+}
+
+/// A value-taking flag at the end of the command line, without its value,
+/// exits 2 and names the flag — it must not run with the limit unarmed
+/// (`spin` would then never stop).
+#[test]
+fn flags_missing_their_value_exit_2_and_name_the_flag() {
+    let spin = write_temp("spin-novalue", SPIN);
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/qsort.lssa");
+    let spin = spin.to_str().unwrap();
+    let cases: [&[&str]; 3] = [
+        &["run", spin, "--step-budget"],
+        &["run", corpus, "--deadline-ms"],
+        &["bench", "qsort", "--scale"],
+    ];
+    for args in cases {
+        let out = output_within_60s(lssa().args(args));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let flag = args.last().unwrap();
+        assert!(
+            stderr.contains(&format!("flag `{flag}` needs a value")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(spin).ok();
 }
 
 #[test]

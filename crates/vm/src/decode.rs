@@ -75,10 +75,11 @@ pub struct DecodeOptions {
     /// Run the superinstruction fusion pass (the default; `--no-fuse`
     /// disables it for fused-vs-unfused measurements).
     pub fuse: bool,
-    /// Run the register-renumbering compaction pass (the default;
-    /// `--no-renumber` disables it for ablation): every function's
-    /// referenced registers are renumbered to a dense prefix, shrinking
-    /// the pooled frames' register files.
+    /// Run the register-renumbering compaction pass (the default; it is
+    /// off only in the un-renumbered reference stream that the encode
+    /// round trip and the differential tests compare against): every
+    /// function's referenced registers are renumbered to a dense prefix,
+    /// shrinking the pooled frames' register files.
     pub renumber: bool,
 }
 
@@ -1805,11 +1806,6 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
         fusion,
         renumber,
     }
-}
-
-/// [`decode_program_with`] under the default options (fusion on).
-pub fn decode_program(program: &CompiledProgram) -> DecodedProgram {
-    decode_program_with(program, DecodeOptions::default())
 }
 
 #[cfg(test)]

@@ -31,6 +31,14 @@
 //! validate their static target on every execution; a `PapExtend` of an
 //! unapplied closure at exact saturation skips the closure unpack and goes
 //! straight to the call.
+//!
+//! ## Entry points
+//!
+//! [`run_decoded_with`] runs `entry` of a decoded program under explicit
+//! [`ExecOptions`] and renders the result; [`run_program`] decodes a
+//! [`CompiledProgram`] and runs it under the default decode and execution
+//! options. Harnesses that drive the VM itself (retries, purges, reuse
+//! probes) build one with [`Vm::with_options`].
 
 use crate::bytecode::{CompiledProgram, Reg};
 use crate::decode::{ArgSlice, DecodeOptions, DecodedFn, DecodedInstr, DecodedProgram, OpClass};
@@ -307,7 +315,8 @@ pub struct VmStatistics {
     /// run (capacity, not length — what the pool actually holds onto).
     pub frame_pool_bytes: u64,
     /// Register-file words eliminated by decode-time renumbering (static
-    /// count over the whole program; 0 with `--no-renumber`).
+    /// count over the whole program; 0 when decoded with
+    /// [`DecodeOptions::renumber`] off).
     pub regs_saved: u64,
     /// Wall time spent executing.
     pub duration: Duration,
@@ -598,13 +607,9 @@ pub struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    /// Creates a VM for a decoded `program` with a step budget, under the
-    /// default execution options (no limits, no faults).
-    pub fn new(program: &'p DecodedProgram, max_steps: u64) -> Vm<'p> {
-        Vm::with_options(program, max_steps, ExecOptions::default())
-    }
-
-    /// Creates a VM with explicit [`ExecOptions`].
+    /// Creates a VM for a decoded `program` with a step budget, under
+    /// explicit [`ExecOptions`] (`ExecOptions::default()`: no limits, no
+    /// faults).
     pub fn with_options(program: &'p DecodedProgram, max_steps: u64, opts: ExecOptions) -> Vm<'p> {
         let mut heap = Heap::new();
         if opts.limits.heap_bytes != u64::MAX {
@@ -1858,54 +1863,9 @@ pub fn run_decoded_with(
     })
 }
 
-/// Runs `entry` of a pre-decoded program and renders the result (default
-/// execution options: no limits, no faults).
-///
-/// # Errors
-///
-/// See [`Vm::run`].
-pub fn run_decoded(
-    program: &DecodedProgram,
-    entry: &str,
-    max_steps: u64,
-) -> Result<RunOutcome, VmError> {
-    run_decoded_with(program, entry, max_steps, ExecOptions::default())
-}
-
-/// Decodes `program` under `decode` (memoized per program, see
-/// [`CompiledProgram::decoded`]), then runs `entry` under `exec` and
-/// renders the result — the fully-parameterized entry point behind the
-/// `--no-renumber`/`--no-fuse` knobs and the resource budgets.
-///
-/// # Errors
-///
-/// See [`Vm::run`].
-pub fn run_program_opts(
-    program: &CompiledProgram,
-    entry: &str,
-    max_steps: u64,
-    decode: DecodeOptions,
-    exec: ExecOptions,
-) -> Result<RunOutcome, VmError> {
-    run_decoded_with(&program.decoded(decode), entry, max_steps, exec)
-}
-
-/// Decodes `program` under `opts` (memoized per program, see
-/// [`CompiledProgram::decoded`]), then runs `entry` and renders the result.
-///
-/// # Errors
-///
-/// See [`Vm::run`].
-pub fn run_program_with(
-    program: &CompiledProgram,
-    entry: &str,
-    max_steps: u64,
-    opts: DecodeOptions,
-) -> Result<RunOutcome, VmError> {
-    run_program_opts(program, entry, max_steps, opts, ExecOptions::default())
-}
-
-/// [`run_program_with`] under the default decode options (fusion on).
+/// Decodes `program` under the default [`DecodeOptions`] (memoized per
+/// program, see [`CompiledProgram::decoded`]), then runs `entry` under the
+/// default [`ExecOptions`] and renders the result.
 ///
 /// # Errors
 ///
@@ -1915,14 +1875,19 @@ pub fn run_program(
     entry: &str,
     max_steps: u64,
 ) -> Result<RunOutcome, VmError> {
-    run_program_with(program, entry, max_steps, DecodeOptions::default())
+    run_decoded_with(
+        &program.decoded(DecodeOptions::default()),
+        entry,
+        max_steps,
+        ExecOptions::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytecode::{BinOp, CmpPred, CompiledFn, CompiledProgram, Instr};
-    use crate::decode::decode_program;
+    use crate::decode::decode_program_with;
 
     fn single(code: Vec<Instr>, n_regs: u16) -> CompiledProgram {
         CompiledProgram {
@@ -2012,7 +1977,13 @@ mod tests {
         assert_eq!(out.vm_stats.executed_of(OpClass::FusedConstRet), 1);
         assert_eq!(out.vm_stats.fused_cells, 1);
         // The unfused stream executes the two original cells.
-        let unfused = run_program_with(&p, "main", 1000, DecodeOptions::no_fuse()).unwrap();
+        let unfused = run_decoded_with(
+            &p.decoded(DecodeOptions::no_fuse()),
+            "main",
+            1000,
+            ExecOptions::default(),
+        )
+        .unwrap();
         assert_eq!(unfused.rendered, "42");
         assert_eq!(unfused.stats.instructions, 2);
         assert_eq!(unfused.vm_stats.executed_of(OpClass::Const), 1);
@@ -2051,8 +2022,8 @@ mod tests {
     #[test]
     fn tail_call_uses_constant_stack() {
         let p = tail_loop(1_000_000);
-        let d = decode_program(&p);
-        let mut vm = Vm::new(&d, 100_000_000);
+        let d = decode_program_with(&p, DecodeOptions::default());
+        let mut vm = Vm::with_options(&d, 100_000_000, ExecOptions::default());
         let r = vm.run("main").unwrap();
         assert_eq!(vm.heap.render(r), "7");
         assert!(vm.stats().max_stack <= 2, "tail calls must not grow stack");
@@ -2337,8 +2308,8 @@ mod tests {
             ],
             ..CompiledProgram::default()
         };
-        let d = decode_program(&p);
-        let mut vm = Vm::new(&d, 1000);
+        let d = decode_program_with(&p, DecodeOptions::default());
+        let mut vm = Vm::with_options(&d, 1000, ExecOptions::default());
         assert!(vm.run("boom").is_err());
         let r = vm.run("main").unwrap();
         assert_eq!(vm.heap.render(r), "3");
@@ -2496,8 +2467,8 @@ mod tests {
     #[test]
     fn step_budget_error_is_structured() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
-        let d = decode_program(&p);
-        let mut vm = Vm::new(&d, 100);
+        let d = decode_program_with(&p, DecodeOptions::default());
+        let mut vm = Vm::with_options(&d, 100, ExecOptions::default());
         let e = vm.run("main").unwrap_err();
         assert_eq!(e.kind, VmErrorKind::StepBudget);
         assert_eq!(e.message, lssa_rt::STEP_BUDGET_MSG);
@@ -2507,7 +2478,7 @@ mod tests {
     #[test]
     fn limits_steps_tightens_the_constructor_budget() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
-        let d = decode_program(&p);
+        let d = decode_program_with(&p, DecodeOptions::default());
         let opts = ExecOptions::default().with_limits(JobLimits::default().with_steps(37));
         let mut vm = Vm::with_options(&d, 1_000_000, opts);
         let e = vm.run("main").unwrap_err();
@@ -2517,7 +2488,7 @@ mod tests {
 
     #[test]
     fn heap_budget_aborts_and_purge_rebalances() {
-        let d = decode_program(&alloc_loop(1_000_000));
+        let d = decode_program_with(&alloc_loop(1_000_000), DecodeOptions::default());
         let opts = ExecOptions::default().with_limits(JobLimits::default().with_heap_bytes(4096));
         let mut vm = Vm::with_options(&d, u64::MAX, opts);
         let e = vm.run("main").unwrap_err();
@@ -2537,7 +2508,7 @@ mod tests {
         // was counted: `main` plus 63 `rec` frames reach depth 64, and the
         // next call trips at step 443 — main's 2 cells, then 7 cells per
         // `rec` level, each ending in its call.
-        let d = decode_program(&deep_recursion(1_000_000));
+        let d = decode_program_with(&deep_recursion(1_000_000), DecodeOptions::default());
         let opts = ExecOptions::default().with_limits(JobLimits::default().with_max_depth(64));
         let mut vm = Vm::with_options(&d, u64::MAX, opts);
         let e = vm.run("main").unwrap_err();
@@ -2558,10 +2529,10 @@ mod tests {
     #[test]
     fn cancel_token_aborts_within_a_poll_interval() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
-        let d = decode_program(&p);
+        let d = decode_program_with(&p, DecodeOptions::default());
         let token = CancelToken::new();
         token.cancel();
-        let mut vm = Vm::new(&d, u64::MAX);
+        let mut vm = Vm::with_options(&d, u64::MAX, ExecOptions::default());
         vm.set_cancel_token(token);
         let e = vm.run("main").unwrap_err();
         assert_eq!(e.kind, VmErrorKind::Cancelled);
@@ -2571,7 +2542,7 @@ mod tests {
     #[test]
     fn planned_cancellation_is_deterministic() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
-        let d = decode_program(&p);
+        let d = decode_program_with(&p, DecodeOptions::default());
         let opts = ExecOptions::default().with_fault(FaultPlan {
             cancel_at: Some(5000),
             ..FaultPlan::default()
@@ -2585,7 +2556,7 @@ mod tests {
     #[test]
     fn zero_deadline_trips_at_first_checkpoint() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
-        let d = decode_program(&p);
+        let d = decode_program_with(&p, DecodeOptions::default());
         let opts = ExecOptions::default()
             .with_limits(JobLimits::default().with_deadline(Some(Duration::ZERO)));
         let mut vm = Vm::with_options(&d, u64::MAX, opts);
@@ -2597,7 +2568,7 @@ mod tests {
     #[test]
     fn planted_panic_fires_and_vm_survives() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
-        let d = decode_program(&p);
+        let d = decode_program_with(&p, DecodeOptions::default());
         let opts = ExecOptions::default().with_fault(FaultPlan {
             panic_at: Some(2048),
             ..FaultPlan::default()
@@ -2622,7 +2593,7 @@ mod tests {
 
     #[test]
     fn exhaust_at_forces_step_budget() {
-        let d = decode_program(&tail_loop(1_000_000));
+        let d = decode_program_with(&tail_loop(1_000_000), DecodeOptions::default());
         let opts = ExecOptions::default().with_fault(FaultPlan {
             exhaust_at: Some(1234),
             ..FaultPlan::default()
@@ -2637,9 +2608,9 @@ mod tests {
     fn governed_success_is_unchanged() {
         // Limits far above what the program needs: result and statistics
         // must be identical to the ungoverned run.
-        let d = decode_program(&tail_loop(500));
+        let d = decode_program_with(&tail_loop(500), DecodeOptions::default());
         let plain = {
-            let mut vm = Vm::new(&d, u64::MAX);
+            let mut vm = Vm::with_options(&d, u64::MAX, ExecOptions::default());
             let r = vm.run("main").unwrap();
             let rendered = vm.heap.render(r);
             vm.heap.dec(r);

@@ -17,6 +17,11 @@
 //! - **Instrumentation** — [`VmStatistics`] reports per-opcode-class
 //!   executed/allocation counts, frame-pool behaviour, and wall time: the
 //!   run-side mirror of the compile-side per-pass statistics.
+//!
+//! Running a compiled program takes two steps: decode
+//! ([`CompiledProgram::decoded`], memoized per [`DecodeOptions`]) and run
+//! ([`run_decoded_with`], under [`ExecOptions`]). [`run_program`] takes
+//! both under the defaults.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,11 +34,10 @@ pub mod exec;
 pub use bytecode::{CompiledFn, CompiledProgram, DecodeCache, Instr, Reg};
 pub use compile::{compile_module, CompileError};
 pub use decode::{
-    decode_program, decode_program_with, DecodeOptions, DecodedFn, DecodedInstr, DecodedProgram,
-    FusionStats, OpClass, RenumberStats,
+    decode_program_with, DecodeOptions, DecodedFn, DecodedInstr, DecodedProgram, FusionStats,
+    OpClass, RenumberStats,
 };
 pub use exec::{
-    run_decoded, run_decoded_with, run_program, run_program_opts, run_program_with, CancelToken,
-    ExecOptions, ExecStats, FaultPlan, JobLimits, RunOutcome, Vm, VmError, VmErrorKind,
-    VmStatistics,
+    run_decoded_with, run_program, CancelToken, ExecOptions, ExecStats, FaultPlan, JobLimits,
+    RunOutcome, Vm, VmError, VmErrorKind, VmStatistics,
 };

@@ -15,7 +15,8 @@
 //!    diagnostics (stable codes *and* spans) — the machine-readable
 //!    interface `lssa check --format json` promises to tooling.
 
-use lambda_ssa::driver::pipelines::{compile_batch_asts, CompilerConfig};
+use lambda_ssa::driver::par::BatchRunner;
+use lambda_ssa::driver::pipelines::{compile_ast_with_report, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
 use lambda_ssa::{lambda, syntax, vm};
 use std::collections::BTreeSet;
@@ -128,14 +129,18 @@ fn corpus_executes_under_every_config_and_decode_mode() {
     ] {
         // One batch job per file: the corpus doubles as a smoke test of the
         // parallel batch driver on the AST entry point.
-        let (results, _report) = compile_batch_asts(&programs, config, files.len());
+        let results = BatchRunner::new()
+            .with_jobs(files.len())
+            .map(&programs, |p| compile_ast_with_report(p, config));
         for ((path, compiled), want) in files.iter().zip(&results).zip(&expected) {
-            let compiled = compiled
+            let (compiled, _) = compiled
                 .as_ref()
                 .unwrap_or_else(|e| panic!("[{}] {}: {e}", config.label(), path.display()));
             for decode in [vm::DecodeOptions::fused(), vm::DecodeOptions::no_fuse()] {
-                let out = vm::run_program_with(compiled, "main", MAX_STEPS, decode)
-                    .unwrap_or_else(|e| panic!("[{}] {}: {e}", config.label(), path.display()));
+                let decoded = compiled.decoded(decode);
+                let out =
+                    vm::run_decoded_with(&decoded, "main", MAX_STEPS, vm::ExecOptions::default())
+                        .unwrap_or_else(|e| panic!("[{}] {}: {e}", config.label(), path.display()));
                 assert_eq!(
                     &out.rendered,
                     want,

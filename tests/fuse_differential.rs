@@ -16,7 +16,7 @@ use lambda_ssa::driver::conformance::handwritten;
 use lambda_ssa::driver::pipelines::{compile, Backend, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
 use lambda_ssa::driver::{diff, par};
-use lambda_ssa::vm::{run_program_opts, run_program_with, DecodeOptions, ExecOptions, OpClass};
+use lambda_ssa::vm::{run_decoded_with, run_program, DecodeOptions, ExecOptions, OpClass};
 
 const MAX_STEPS: u64 = 500_000_000;
 
@@ -26,7 +26,7 @@ const MAX_STEPS: u64 = 500_000_000;
 fn matrix() -> Vec<(String, DecodeOptions)> {
     let mut combos = Vec::new();
     for (fl, fuse) in [("fused", true), ("no-fuse", false)] {
-        for (rl, renumber) in [("renumber", true), ("no-renumber", false)] {
+        for (rl, renumber) in [("renumbered", true), ("original", false)] {
             combos.push((
                 format!("{fl}/{rl}"),
                 DecodeOptions::fused()
@@ -43,7 +43,14 @@ fn matrix() -> Vec<(String, DecodeOptions)> {
 /// rendering (for checksum asserts), or `None` if the program traps.
 fn assert_matrix_agrees(label: &str, program: &lambda_ssa::vm::CompiledProgram) -> Option<String> {
     let combos = matrix();
-    let run = |decode| run_program_with(program, "main", MAX_STEPS, decode);
+    let run = |decode| {
+        run_decoded_with(
+            &program.decoded(decode),
+            "main",
+            MAX_STEPS,
+            ExecOptions::default(),
+        )
+    };
     let reference = run(combos[0].1);
     for (name, decode) in &combos[1..] {
         let got = run(*decode);
@@ -136,15 +143,7 @@ fn assert_rc_knob_agrees(
     with: &lambda_ssa::vm::CompiledProgram,
     without: &lambda_ssa::vm::CompiledProgram,
 ) -> Option<(String, (u64, u64))> {
-    let run = |p: &lambda_ssa::vm::CompiledProgram| {
-        run_program_opts(
-            p,
-            "main",
-            MAX_STEPS,
-            DecodeOptions::fused(),
-            ExecOptions::default(),
-        )
-    };
+    let run = |p: &lambda_ssa::vm::CompiledProgram| run_program(p, "main", MAX_STEPS);
     match (run(with), run(without)) {
         (Ok(a), Ok(b)) => {
             assert_eq!(
@@ -274,21 +273,15 @@ fn step_budget_exhaustion_is_identical_across_dispatch_matrix() {
             compile(&w.src, CompilerConfig::mlir()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         // Learn the fused total; cap at half of it. Fused decode executes
         // the fewest cells, so the cap undershoots every decode mode.
-        let full = run_program_opts(
-            &program,
-            "main",
-            MAX_STEPS,
-            DecodeOptions::fused(),
-            ExecOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: uncapped run failed: {e}", w.name));
+        let full = run_program(&program, "main", MAX_STEPS)
+            .unwrap_or_else(|e| panic!("{}: uncapped run failed: {e}", w.name));
         let budget = full.stats.instructions / 2;
         if budget == 0 {
             return;
         }
         for (name, decode) in matrix() {
             let decoded = program.decoded(decode);
-            let mut vm = lambda_ssa::vm::Vm::new(&decoded, budget);
+            let mut vm = lambda_ssa::vm::Vm::with_options(&decoded, budget, ExecOptions::default());
             let err = vm
                 .run("main")
                 .expect_err(&format!("{} [{name}]: capped run must exhaust", w.name));

@@ -85,8 +85,8 @@ proptest! {
 #[cfg(feature = "slow-tests")]
 mod slow {
     use super::*;
-    use lambda_ssa::driver::pipelines::{compile_and_run_ast_opts, CompilerConfig};
-    use lambda_ssa::vm::DecodeOptions;
+    use lambda_ssa::driver::pipelines::{compile_ast_with_report, CompilerConfig, PipelineError};
+    use lambda_ssa::vm::{run_decoded_with, DecodeOptions, ExecOptions, RunOutcome};
 
     const MAX_STEPS: u64 = 200_000_000;
 
@@ -111,9 +111,14 @@ mod slow {
                 CompilerConfig::none(),
             ] {
                 for decode in [DecodeOptions::fused(), DecodeOptions::no_fuse()] {
-                    let a = compile_and_run_ast_opts(&p, config, MAX_STEPS, decode)
+                    let run = |p: &Program| -> Result<RunOutcome, PipelineError> {
+                        let (compiled, _) = compile_ast_with_report(p, config)?;
+                        let decoded = compiled.decoded(decode);
+                        Ok(run_decoded_with(&decoded, "main", MAX_STEPS, ExecOptions::default())?)
+                    };
+                    let a = run(&p)
                         .map_err(|e| TestCaseError::fail(format!("original: {e}")))?;
-                    let b = compile_and_run_ast_opts(&reparsed, config, MAX_STEPS, decode)
+                    let b = run(&reparsed)
                         .map_err(|e| TestCaseError::fail(format!("reparsed: {e}")))?;
                     prop_assert_eq!(&a.rendered, &b.rendered, "[{}]\n{}", config.label(), text);
                     prop_assert_eq!(a.stats.heap.live, 0);

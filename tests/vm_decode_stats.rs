@@ -11,7 +11,7 @@
 
 use lambda_ssa::driver::pipelines::{compile, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
-use lambda_ssa::vm::{decode_program, decode_program_with, run_decoded, DecodeOptions, OpClass};
+use lambda_ssa::vm::{decode_program_with, run_decoded_with, DecodeOptions, ExecOptions, OpClass};
 
 const MAX_STEPS: u64 = 500_000_000;
 
@@ -41,20 +41,20 @@ fn decode_round_trips_compiled_workloads() {
             }
         }
         // And the decoded form executes to the recorded checksum.
-        let out =
-            run_decoded(&decoded, "main", MAX_STEPS).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let out = run_decoded_with(&decoded, "main", MAX_STEPS, ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(out.rendered, w.expected_test, "{}", w.name);
         assert_eq!(out.stats.heap.live, 0, "{}: leak", w.name);
         // The fused stream is strictly shorter statically and dynamically,
         // and produces the same checksum.
-        let fused = decode_program(&program);
+        let fused = decode_program_with(&program, DecodeOptions::default());
         assert!(
             fused.fusion.cells_saved > 0,
             "{}: fusion found nothing to fuse",
             w.name
         );
-        let fused_out =
-            run_decoded(&fused, "main", MAX_STEPS).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let fused_out = run_decoded_with(&fused, "main", MAX_STEPS, ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(fused_out.rendered, w.expected_test, "{}", w.name);
         assert!(
             fused_out.stats.instructions < out.stats.instructions,
@@ -77,8 +77,8 @@ fn compiled_tail_recursion_runs_in_constant_frames() {
     };
     let run = |n: u64| {
         let program = compile(&src_for(n), CompilerConfig::mlir()).expect("compile");
-        let decoded = decode_program(&program);
-        run_decoded(&decoded, "main", MAX_STEPS).expect("run")
+        let decoded = decode_program_with(&program, DecodeOptions::default());
+        run_decoded_with(&decoded, "main", MAX_STEPS, ExecOptions::default()).expect("run")
     };
     let shallow = run(1_000);
     let deep = run(100_000);
@@ -139,8 +139,10 @@ fn renumbering_shrinks_frames_without_changing_results() {
         for (p, c) in plain.fns.iter().zip(&compact.fns) {
             assert!(c.n_regs <= p.n_regs, "{}/@{}", w.name, p.name);
         }
-        let plain_out = run_decoded(&plain, "main", MAX_STEPS).expect("plain run");
-        let compact_out = run_decoded(&compact, "main", MAX_STEPS).expect("compact run");
+        let plain_out =
+            run_decoded_with(&plain, "main", MAX_STEPS, ExecOptions::default()).expect("plain run");
+        let compact_out = run_decoded_with(&compact, "main", MAX_STEPS, ExecOptions::default())
+            .expect("compact run");
         assert_eq!(plain_out.rendered, compact_out.rendered, "{}", w.name);
         assert_eq!(
             plain_out.stats.instructions, compact_out.stats.instructions,
