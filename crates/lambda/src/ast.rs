@@ -70,20 +70,17 @@ pub enum Value {
 }
 
 impl Value {
-    /// Variables this value mentions, with multiplicity.
-    pub fn operands(&self) -> Vec<VarId> {
-        match self {
-            Value::Var(v) | Value::Proj { var: v, .. } => vec![*v],
-            Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => vec![],
+    /// Variables this value mentions, with multiplicity, in order.
+    pub fn operands(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (first, rest): (Option<VarId>, &[VarId]) = match self {
+            Value::Var(v) | Value::Proj { var: v, .. } => (Some(*v), &[]),
+            Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => (None, &[]),
             Value::Ctor { args, .. } | Value::Call { args, .. } | Value::Pap { args, .. } => {
-                args.clone()
+                (None, args)
             }
-            Value::App { closure, args } => {
-                let mut v = vec![*closure];
-                v.extend(args);
-                v
-            }
-        }
+            Value::App { closure, args } => (Some(*closure), args),
+        };
+        first.into_iter().chain(rest.iter().copied())
     }
 
     /// Whether evaluating the value has no observable effect (so an unused
@@ -223,6 +220,53 @@ impl Expr {
             Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
                 record(*var, bound, out);
                 body.collect_free_vars(bound, out);
+            }
+        }
+    }
+
+    /// Whether `v` is free in the expression: `free_vars().contains(&v)`
+    /// without building the set, returning at the first free use.
+    pub fn has_free_var(&self, v: VarId) -> bool {
+        let mut e = self;
+        loop {
+            match e {
+                Expr::Let { var, val, body } => {
+                    if val.operands().any(|o| o == v) {
+                        return true;
+                    }
+                    if *var == v {
+                        return false;
+                    }
+                    e = body;
+                }
+                Expr::LetJoin {
+                    params,
+                    jp_body,
+                    body,
+                    ..
+                } => {
+                    if !params.contains(&v) && jp_body.has_free_var(v) {
+                        return true;
+                    }
+                    e = body;
+                }
+                Expr::Case {
+                    scrutinee,
+                    alts,
+                    default,
+                } => {
+                    return *scrutinee == v
+                        || alts.iter().any(|a| a.body.has_free_var(v))
+                        || default.as_ref().is_some_and(|d| d.has_free_var(v));
+                }
+                Expr::Jump { args, .. } => return args.contains(&v),
+                Expr::Ret(x) => return *x == v,
+                Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
+                    if *var == v {
+                        return true;
+                    }
+                    e = body;
+                }
             }
         }
     }

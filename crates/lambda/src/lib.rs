@@ -8,6 +8,8 @@
 //! - [`parse`] — a small surface language and its ANF lowering (how the
 //!   benchmark programs and the conformance corpus are written),
 //! - [`wellformed`] — scoping/arity/join-point discipline checks,
+//! - [`scope`] — the O(1) bind/undo scope both wellformedness checkers
+//!   (this crate's and `lssa-syntax`'s) walk functions with,
 //! - [`simplify`] — LEAN's λpure simplifier (the baseline optimizer of
 //!   Figure 10, with `simpcase` separately toggleable),
 //! - [`rc`] — reference-count insertion (λpure → λrc), balanced by
@@ -31,6 +33,7 @@ pub mod ast;
 pub mod interp;
 pub mod parse;
 pub mod rc;
+pub mod scope;
 pub mod simplify;
 pub mod wellformed;
 

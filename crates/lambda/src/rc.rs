@@ -19,6 +19,15 @@
 //!
 //! The balance property is validated dynamically by the reference
 //! interpreter: after running a λrc program, the heap must be empty.
+//!
+//! Every decision above asks whether a variable is still needed, i.e. free
+//! in the rest of the body. A [`FreeVarTable`] answers that in O(1): before
+//! transforming a function, one bottom-up walk records the free variables
+//! of every sub-expression as a bitset over `0..next_var`, and the
+//! transformation visits sub-expressions in the same pre-order, so each
+//! node's row is the next one. Calling [`Expr::free_vars`] at each `let`
+//! instead would make the pass quadratic in the length of a `let` chain;
+//! it is the reference the table is tested against.
 
 use crate::ast::{Alt, Expr, FnDef, Program, Value, VarId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -38,8 +47,14 @@ pub fn insert_rc(program: &Program) -> Program {
                 "insert_rc on a function that already has RC ops: @{}",
                 f.name
             );
+            let table = FreeVarTable::new(f);
+            let mut rc = Rc {
+                fv: &table,
+                next: 0,
+            };
             let mut owned: BTreeSet<VarId> = f.params.iter().copied().collect();
-            let body = transform(&f.body, &mut owned);
+            let body = rc.transform(&f.body, &mut owned);
+            debug_assert_eq!(rc.next, table.len(), "every node visited once");
             FnDef {
                 name: f.name.clone(),
                 params: f.params.clone(),
@@ -50,6 +65,150 @@ pub fn insert_rc(program: &Program) -> Program {
         })
         .collect();
     Program { fns }
+}
+
+/// The free variables of every sub-expression of one function body.
+///
+/// Row `i` belongs to the `i`-th sub-expression in pre-order: a node, then
+/// its children in order (`join`: the join body, then the scope body;
+/// `case`: the arms, then the default). Each row is a bitset of
+/// `ceil(next_var / 64)` words, filled bottom-up in one walk, so building
+/// the table costs O(nodes × next_var / 64) and each query O(1).
+#[derive(Debug, Clone)]
+pub struct FreeVarTable {
+    /// Words per row.
+    words: usize,
+    /// Rows, back to back.
+    bits: Vec<u64>,
+}
+
+impl FreeVarTable {
+    /// Computes the table for `f`'s body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body mentions a variable at or above `f.next_var`
+    /// (which [`crate::wellformed::check_program`] rejects as E0116).
+    pub fn new(f: &FnDef) -> FreeVarTable {
+        let mut table = FreeVarTable {
+            words: (f.next_var as usize).div_ceil(64).max(1),
+            bits: Vec::new(),
+        };
+        table.fill(&f.body);
+        table
+    }
+
+    /// Number of rows (sub-expressions).
+    pub fn len(&self) -> usize {
+        self.bits.len() / self.words
+    }
+
+    /// Whether the body has no rows (never: the body itself is row 0).
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    /// Whether `v` is free in sub-expression `row`.
+    pub fn contains(&self, row: usize, v: VarId) -> bool {
+        let word = self.row(row).get(v as usize / 64).copied().unwrap_or(0);
+        word >> (v % 64) & 1 == 1
+    }
+
+    /// The free variables of sub-expression `row`, ascending.
+    pub fn vars(&self, row: usize) -> impl Iterator<Item = VarId> + '_ {
+        self.row(row).iter().enumerate().flat_map(|(w, &word)| {
+            (0..64u32)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| w as u32 * 64 + b)
+        })
+    }
+
+    fn row(&self, row: usize) -> &[u64] {
+        &self.bits[row * self.words..(row + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+        &mut self.bits[row * self.words..(row + 1) * self.words]
+    }
+
+    fn set(&mut self, row: usize, v: VarId) {
+        let words = self.words;
+        let Some(word) = self.row_mut(row).get_mut(v as usize / 64) else {
+            panic!(
+                "x{v} is at or above its function's next_var ({} words)",
+                words
+            );
+        };
+        *word |= 1 << (v % 64);
+    }
+
+    fn clear(&mut self, row: usize, v: VarId) {
+        if let Some(word) = self.row_mut(row).get_mut(v as usize / 64) {
+            *word &= !(1 << (v % 64));
+        }
+    }
+
+    /// ORs row `from` into row `into` (`from > into`: a descendant).
+    fn union_into(&mut self, into: usize, from: usize) {
+        let w = self.words;
+        let (head, tail) = self.bits.split_at_mut(from * w);
+        for (dst, src) in head[into * w..(into + 1) * w].iter_mut().zip(&tail[..w]) {
+            *dst |= src;
+        }
+    }
+
+    /// Appends `e`'s row and its descendants' rows; returns `e`'s row.
+    fn fill(&mut self, e: &Expr) -> usize {
+        let row = self.len();
+        self.bits.resize(self.bits.len() + self.words, 0);
+        match e {
+            Expr::Let { var, val, body } => {
+                let b = self.fill(body);
+                self.union_into(row, b);
+                self.clear(row, *var);
+                for v in val.operands() {
+                    self.set(row, v);
+                }
+            }
+            Expr::LetJoin {
+                params,
+                jp_body,
+                body,
+                ..
+            } => {
+                let j = self.fill(jp_body);
+                self.union_into(row, j);
+                for &p in params {
+                    self.clear(row, p);
+                }
+                let b = self.fill(body);
+                self.union_into(row, b);
+            }
+            Expr::Case {
+                scrutinee,
+                alts,
+                default,
+            } => {
+                self.set(row, *scrutinee);
+                for arm in alts.iter().map(|a| &a.body).chain(default.as_deref()) {
+                    let a = self.fill(arm);
+                    self.union_into(row, a);
+                }
+            }
+            Expr::Jump { args, .. } => {
+                for &v in args {
+                    self.set(row, v);
+                }
+            }
+            Expr::Ret(v) => self.set(row, *v),
+            Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
+                let b = self.fill(body);
+                self.union_into(row, b);
+                self.set(row, *var);
+            }
+        }
+        row
+    }
 }
 
 /// Wraps `e` in `dec` instructions for each variable in `vars`.
@@ -102,170 +261,187 @@ fn multiset(vars: impl IntoIterator<Item = VarId>) -> BTreeMap<VarId, u32> {
     m
 }
 
-/// Transforms `e` so that every path consumes exactly the references in
-/// `owned`. On return, `owned` is left in an unspecified state (callers pass
-/// clones across branches).
-fn transform(e: &Expr, owned: &mut BTreeSet<VarId>) -> Expr {
-    match e {
-        Expr::Ret(x) => {
-            let mut rest: Vec<VarId> = owned.iter().copied().filter(|v| v != x).collect();
-            rest.reverse();
-            if owned.contains(x) {
-                decs(rest, Expr::Ret(*x))
-            } else {
-                // Borrowed return value: retain it first.
-                decs(rest, incs(*x, 1, Expr::Ret(*x)))
-            }
-        }
-        Expr::Jump { label, args } => {
-            let counts = multiset(args.iter().copied());
-            let mut out = Expr::Jump {
-                label: *label,
-                args: args.clone(),
-            };
-            let mut consumed: BTreeSet<VarId> = BTreeSet::new();
-            for (&a, &m) in &counts {
-                if owned.contains(&a) {
-                    out = incs(a, m - 1, out);
-                    consumed.insert(a);
-                } else {
-                    out = incs(a, m, out);
-                }
-            }
-            let rest: Vec<VarId> = owned
-                .iter()
-                .copied()
-                .filter(|v| !consumed.contains(v))
-                .collect();
-            decs(rest, out)
-        }
-        Expr::Case {
-            scrutinee,
-            alts,
-            default,
-        } => {
-            // The case borrows the scrutinee; each arm independently
-            // consumes the full owned set.
-            let alts = alts
-                .iter()
-                .map(|alt| {
-                    let mut arm_owned = owned.clone();
-                    let body = shed_then_transform(&alt.body, &mut arm_owned);
-                    Alt { tag: alt.tag, body }
-                })
-                .collect();
-            let default = default.as_ref().map(|d| {
-                let mut arm_owned = owned.clone();
-                Box::new(shed_then_transform(d, &mut arm_owned))
-            });
-            Expr::Case {
-                scrutinee: *scrutinee,
-                alts,
-                default,
-            }
-        }
-        Expr::LetJoin {
-            label,
-            params,
-            jp_body,
-            body,
-        } => {
-            let mut jp_owned: BTreeSet<VarId> = params.iter().copied().collect();
-            let jp_body = shed_then_transform(jp_body, &mut jp_owned);
-            let body = transform(body, owned);
-            Expr::LetJoin {
-                label: *label,
-                params: params.clone(),
-                jp_body: Box::new(jp_body),
-                body: Box::new(body),
-            }
-        }
-        Expr::Let { var, val, body } => {
-            let x = *var;
-            let fv_body = body.free_vars();
-            // 1. Ownership accounting for the value's consumed operands.
-            let counts = multiset(owned_operands(val));
-            let mut pre_incs: Vec<(VarId, u32)> = Vec::new();
-            for (&a, &m) in &counts {
-                if owned.contains(&a) {
-                    if fv_body.contains(&a) {
-                        // Still needed later: keep ownership, add m refs.
-                        pre_incs.push((a, m));
-                    } else {
-                        // Last use: transfer one ref, add the rest.
-                        pre_incs.push((a, m - 1));
-                        owned.remove(&a);
-                    }
-                } else {
-                    pre_incs.push((a, m));
-                }
-            }
-            // `let x = y` aliases: one more reference to y's object.
-            if let Value::Var(y) = val {
-                if owned.contains(y) && !fv_body.contains(y) {
-                    owned.remove(y); // transfer
-                } else {
-                    pre_incs.push((*y, 1));
-                }
-            }
-            // 2. Projection results are borrowed: retain them.
-            let is_proj = matches!(val, Value::Proj { .. });
-            // 3. The binding itself becomes owned.
-            owned.insert(x);
-            // 4. Eagerly release anything that is now dead: owned vars that
-            //    do not appear free in the body (including x if unused).
-            let dead: Vec<VarId> = owned
-                .iter()
-                .copied()
-                .filter(|v| !fv_body.contains(v) && *v != x)
-                .collect();
-            let x_dead = !fv_body.contains(&x);
-            for d in &dead {
-                owned.remove(d);
-            }
-            if x_dead {
-                owned.remove(&x);
-            }
-            let tail = transform(body, owned);
-            // Assemble from the inside out:
-            //   incs; let x = v; [inc x]; [dec dead…]; [dec x]; tail
-            let mut after = tail;
-            if x_dead && !is_proj {
-                after = Expr::Dec {
-                    var: x,
-                    body: Box::new(after),
-                };
-            }
-            // A projection that is immediately dead is simply a borrow that
-            // was never retained: no inc, no dec.
-            after = decs(dead, after);
-            if is_proj && !x_dead {
-                after = incs(x, 1, after);
-            }
-            let mut out = Expr::Let {
-                var: x,
-                val: val.clone(),
-                body: Box::new(after),
-            };
-            for (a, m) in pre_incs.into_iter().rev() {
-                out = incs(a, m, out);
-            }
-            out
-        }
-        Expr::Inc { .. } | Expr::Dec { .. } => {
-            unreachable!("insert_rc input must be λpure")
-        }
-    }
+/// One function's transformation: the table, and the row of the next node
+/// to visit.
+struct Rc<'t> {
+    fv: &'t FreeVarTable,
+    next: usize,
 }
 
-/// Eagerly releases owned variables not free in `e`, then transforms.
-fn shed_then_transform(e: &Expr, owned: &mut BTreeSet<VarId>) -> Expr {
-    let fv = e.free_vars();
-    let dead: Vec<VarId> = owned.iter().copied().filter(|v| !fv.contains(v)).collect();
-    for d in &dead {
-        owned.remove(d);
+impl Rc<'_> {
+    /// Transforms `e` so that every path consumes exactly the references in
+    /// `owned`. On return, `owned` is left in an unspecified state (callers pass
+    /// clones across branches).
+    fn transform(&mut self, e: &Expr, owned: &mut BTreeSet<VarId>) -> Expr {
+        self.next += 1;
+        match e {
+            Expr::Ret(x) => {
+                let mut rest: Vec<VarId> = owned.iter().copied().filter(|v| v != x).collect();
+                rest.reverse();
+                if owned.contains(x) {
+                    decs(rest, Expr::Ret(*x))
+                } else {
+                    // Borrowed return value: retain it first.
+                    decs(rest, incs(*x, 1, Expr::Ret(*x)))
+                }
+            }
+            Expr::Jump { label, args } => {
+                let counts = multiset(args.iter().copied());
+                let mut out = Expr::Jump {
+                    label: *label,
+                    args: args.clone(),
+                };
+                let mut consumed: BTreeSet<VarId> = BTreeSet::new();
+                for (&a, &m) in &counts {
+                    if owned.contains(&a) {
+                        out = incs(a, m - 1, out);
+                        consumed.insert(a);
+                    } else {
+                        out = incs(a, m, out);
+                    }
+                }
+                let rest: Vec<VarId> = owned
+                    .iter()
+                    .copied()
+                    .filter(|v| !consumed.contains(v))
+                    .collect();
+                decs(rest, out)
+            }
+            Expr::Case {
+                scrutinee,
+                alts,
+                default,
+            } => {
+                // The case borrows the scrutinee; each arm independently
+                // consumes the full owned set.
+                let alts = alts
+                    .iter()
+                    .map(|alt| {
+                        let mut arm_owned = owned.clone();
+                        let body = self.shed_then_transform(&alt.body, &mut arm_owned);
+                        Alt { tag: alt.tag, body }
+                    })
+                    .collect();
+                let default = default.as_ref().map(|d| {
+                    let mut arm_owned = owned.clone();
+                    Box::new(self.shed_then_transform(d, &mut arm_owned))
+                });
+                Expr::Case {
+                    scrutinee: *scrutinee,
+                    alts,
+                    default,
+                }
+            }
+            Expr::LetJoin {
+                label,
+                params,
+                jp_body,
+                body,
+            } => {
+                let mut jp_owned: BTreeSet<VarId> = params.iter().copied().collect();
+                let jp_body = self.shed_then_transform(jp_body, &mut jp_owned);
+                let body = self.transform(body, owned);
+                Expr::LetJoin {
+                    label: *label,
+                    params: params.clone(),
+                    jp_body: Box::new(jp_body),
+                    body: Box::new(body),
+                }
+            }
+            Expr::Let { var, val, body } => {
+                let x = *var;
+                // The body is the next node in pre-order.
+                let (fv, body_row) = (self.fv, self.next);
+                let live = |v: &VarId| fv.contains(body_row, *v);
+                // 1. Ownership accounting for the value's consumed operands.
+                let counts = multiset(owned_operands(val));
+                let mut pre_incs: Vec<(VarId, u32)> = Vec::new();
+                for (&a, &m) in &counts {
+                    if owned.contains(&a) {
+                        if live(&a) {
+                            // Still needed later: keep ownership, add m refs.
+                            pre_incs.push((a, m));
+                        } else {
+                            // Last use: transfer one ref, add the rest.
+                            pre_incs.push((a, m - 1));
+                            owned.remove(&a);
+                        }
+                    } else {
+                        pre_incs.push((a, m));
+                    }
+                }
+                // `let x = y` aliases: one more reference to y's object.
+                if let Value::Var(y) = val {
+                    if owned.contains(y) && !live(y) {
+                        owned.remove(y); // transfer
+                    } else {
+                        pre_incs.push((*y, 1));
+                    }
+                }
+                // 2. Projection results are borrowed: retain them.
+                let is_proj = matches!(val, Value::Proj { .. });
+                // 3. The binding itself becomes owned.
+                owned.insert(x);
+                // 4. Eagerly release anything that is now dead: owned vars that
+                //    do not appear free in the body (including x if unused).
+                let dead: Vec<VarId> = owned
+                    .iter()
+                    .copied()
+                    .filter(|v| !live(v) && *v != x)
+                    .collect();
+                let x_dead = !live(&x);
+                for d in &dead {
+                    owned.remove(d);
+                }
+                if x_dead {
+                    owned.remove(&x);
+                }
+                let tail = self.transform(body, owned);
+                // Assemble from the inside out:
+                //   incs; let x = v; [inc x]; [dec dead…]; [dec x]; tail
+                let mut after = tail;
+                if x_dead && !is_proj {
+                    after = Expr::Dec {
+                        var: x,
+                        body: Box::new(after),
+                    };
+                }
+                // A projection that is immediately dead is simply a borrow that
+                // was never retained: no inc, no dec.
+                after = decs(dead, after);
+                if is_proj && !x_dead {
+                    after = incs(x, 1, after);
+                }
+                let mut out = Expr::Let {
+                    var: x,
+                    val: val.clone(),
+                    body: Box::new(after),
+                };
+                for (a, m) in pre_incs.into_iter().rev() {
+                    out = incs(a, m, out);
+                }
+                out
+            }
+            Expr::Inc { .. } | Expr::Dec { .. } => {
+                unreachable!("insert_rc input must be λpure")
+            }
+        }
     }
-    decs(dead, transform(e, owned))
+
+    /// Eagerly releases owned variables not free in `e`, then transforms.
+    fn shed_then_transform(&mut self, e: &Expr, owned: &mut BTreeSet<VarId>) -> Expr {
+        let row = self.next;
+        let dead: Vec<VarId> = owned
+            .iter()
+            .copied()
+            .filter(|&v| !self.fv.contains(row, v))
+            .collect();
+        for d in &dead {
+            owned.remove(d);
+        }
+        let body = self.transform(e, owned);
+        decs(dead, body)
+    }
 }
 
 #[cfg(test)]

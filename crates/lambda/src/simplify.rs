@@ -61,22 +61,31 @@ impl SimplifyOptions {
 
 /// Simplifies a λpure program to a fixpoint (bounded).
 ///
+/// Simplifying a function reads nothing but that function, so each one
+/// runs to its own fixpoint (at most 10 rounds); a function that settles
+/// early is not simplified again while others still change.
+///
 /// # Panics
 ///
 /// Panics if the program contains RC instructions (run before
 /// [`crate::rc::insert_rc`]).
 pub fn simplify_program(p: &Program, opts: SimplifyOptions) -> Program {
-    let mut cur = p.clone();
-    for _ in 0..10 {
-        let next = Program {
-            fns: cur.fns.iter().map(|f| simplify_fn(f, opts)).collect(),
-        };
-        if next == cur {
-            break;
-        }
-        cur = next;
-    }
-    cur
+    let fns = p
+        .fns
+        .iter()
+        .map(|f| {
+            let mut cur = f.clone();
+            for _ in 0..10 {
+                let next = simplify_fn(&cur, opts);
+                if next == cur {
+                    break;
+                }
+                cur = next;
+            }
+            cur
+        })
+        .collect();
+    Program { fns }
 }
 
 fn simplify_fn(f: &FnDef, opts: SimplifyOptions) -> FnDef {
@@ -225,7 +234,7 @@ impl Ctx {
                 }
                 let body = self.expr(body);
                 // Dead-let elimination.
-                if self.opts.basic && val.is_droppable() && !body.free_vars().contains(var) {
+                if self.opts.basic && val.is_droppable() && !body.has_free_var(*var) {
                     return body;
                 }
                 Expr::Let {

@@ -11,7 +11,8 @@
 //!    right arity; partial applications under-apply; closure applications
 //!    pass at least one argument.
 
-use crate::ast::{Expr, FnDef, Program, Value, VarId};
+use crate::ast::{Expr, FnDef, JoinId, Program, Value, VarId};
+use crate::scope::{Scope, Shadowed};
 use lssa_rt::Builtin;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -84,18 +85,31 @@ impl std::error::Error for WfError {}
 /// Returns all violations found.
 pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
     let mut errors = Vec::new();
-    let mut names = HashSet::new();
+    // Name → arity; the first definition of a name wins, as in
+    // `Program::arity_of`.
+    let mut arities: HashMap<&str, usize> = HashMap::with_capacity(p.fns.len());
     for f in &p.fns {
-        if !names.insert(f.name.clone()) {
+        if arities.contains_key(f.name.as_str()) {
             errors.push(WfError {
                 func: f.name.clone(),
                 code: codes::DUPLICATE_FUNCTION,
                 message: "duplicate function name".to_string(),
             });
+        } else {
+            arities.insert(&f.name, f.arity());
         }
     }
+    let mut scope = Scope::default();
     for f in &p.fns {
-        check_fn(p, f, &mut errors);
+        let mut c = Checker {
+            arities: &arities,
+            func: f,
+            errors: &mut errors,
+            scope: &mut scope,
+            joins: HashMap::new(),
+            out_of_scope: 0,
+        };
+        c.check_fn();
     }
     if errors.is_empty() {
         Ok(())
@@ -104,32 +118,34 @@ pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
     }
 }
 
+/// Checks one function: a single walk with one [`Scope`], binding at each
+/// binder and undoing the binding after its body.
 struct Checker<'a> {
-    program: &'a Program,
+    arities: &'a HashMap<&'a str, usize>,
     func: &'a FnDef,
     errors: &'a mut Vec<WfError>,
-    bound_once: HashSet<VarId>,
-}
-
-fn check_fn(program: &Program, func: &FnDef, errors: &mut Vec<WfError>) {
-    let mut c = Checker {
-        program,
-        func,
-        errors,
-        bound_once: HashSet::new(),
-    };
-    let mut scope: HashSet<VarId> = HashSet::new();
-    for &p in &func.params {
-        if !c.bound_once.insert(p) {
-            c.error(codes::REBOUND, format!("parameter x{p} bound twice"));
-        }
-        scope.insert(p);
-    }
-    let joins = HashMap::new();
-    c.check_expr(&func.body, &scope, &joins);
+    scope: &'a mut Scope,
+    /// Jumpable join labels → arity.
+    joins: HashMap<JoinId, usize>,
+    /// E0101 errors reported so far (a join body without any cannot
+    /// capture).
+    out_of_scope: usize,
 }
 
 impl Checker<'_> {
+    fn check_fn(&mut self) {
+        self.scope.begin_function();
+        for &p in &self.func.params {
+            // Parameters stay bound until the next function begins.
+            let (_, rebound) = self.scope.bind(p);
+            if rebound {
+                self.error(codes::REBOUND, format!("parameter x{p} bound twice"));
+            }
+        }
+        let func = self.func;
+        self.check_expr(&func.body);
+    }
+
     fn error(&mut self, code: &'static str, message: String) {
         self.errors.push(WfError {
             func: self.func.name.clone(),
@@ -138,8 +154,9 @@ impl Checker<'_> {
         });
     }
 
-    fn check_var(&mut self, v: VarId, scope: &HashSet<VarId>) {
-        if !scope.contains(&v) {
+    fn check_var(&mut self, v: VarId) {
+        if !self.scope.contains(v) {
+            self.out_of_scope += 1;
             self.error(codes::OUT_OF_SCOPE, format!("use of x{v} out of scope"));
         }
         if v >= self.func.next_var {
@@ -153,16 +170,18 @@ impl Checker<'_> {
         }
     }
 
-    fn bind(&mut self, v: VarId, scope: &mut HashSet<VarId>) {
-        if !self.bound_once.insert(v) {
+    /// Brings `v` into scope; the caller unbinds it after the binder's body.
+    fn bind(&mut self, v: VarId) -> Shadowed {
+        let (prev, rebound) = self.scope.bind(v);
+        if rebound {
             self.error(codes::REBOUND, format!("x{v} bound more than once"));
         }
-        scope.insert(v);
+        prev
     }
 
-    fn check_value(&mut self, val: &Value, scope: &HashSet<VarId>) {
+    fn check_value(&mut self, val: &Value) {
         for v in val.operands() {
-            self.check_var(v, scope);
+            self.check_var(v);
         }
         match val {
             Value::Call { func, args } => {
@@ -186,7 +205,7 @@ impl Checker<'_> {
                         }
                     }
                 } else {
-                    match self.program.arity_of(func) {
+                    match self.arities.get(func.as_str()).copied() {
                         Some(a) if a == args.len() => {}
                         Some(a) => self.error(
                             codes::CALL_ARITY,
@@ -199,7 +218,7 @@ impl Checker<'_> {
                     }
                 }
             }
-            Value::Pap { func, args } => match self.program.arity_of(func) {
+            Value::Pap { func, args } => match self.arities.get(func.as_str()).copied() {
                 Some(a) if args.len() < a => {}
                 Some(a) => self.error(
                     codes::BAD_PAP,
@@ -223,13 +242,13 @@ impl Checker<'_> {
         }
     }
 
-    fn check_expr(&mut self, e: &Expr, scope: &HashSet<VarId>, joins: &HashMap<u32, usize>) {
+    fn check_expr(&mut self, e: &Expr) {
         match e {
             Expr::Let { var, val, body } => {
-                self.check_value(val, scope);
-                let mut scope = scope.clone();
-                self.bind(*var, &mut scope);
-                self.check_expr(body, &scope, joins);
+                self.check_value(val);
+                let prev = self.bind(*var);
+                self.check_expr(body);
+                self.scope.unbind(*var, prev);
             }
             Expr::LetJoin {
                 label,
@@ -237,18 +256,27 @@ impl Checker<'_> {
                 jp_body,
                 body,
             } => {
-                // Join body sees only its parameters.
-                let mut jp_scope = HashSet::new();
-                for &p in params {
-                    self.bind(p, &mut jp_scope);
-                }
+                // Join body sees only its parameters: a fresh scope frame.
+                let outer = self.scope.enter_frame();
+                let shadowed: Vec<Shadowed> = params.iter().map(|&p| self.bind(p)).collect();
                 // The join point itself is not in scope inside its own body
                 // (no recursive joins in λpure).
-                self.check_expr(jp_body, &jp_scope, joins);
-                let extra = jp_body
-                    .free_vars()
-                    .into_iter()
-                    .find(|v| !params.contains(v));
+                let out_of_scope = self.out_of_scope;
+                self.check_expr(jp_body);
+                for (&p, prev) in params.iter().zip(shadowed).rev() {
+                    self.scope.unbind(p, prev);
+                }
+                self.scope.exit_frame(outer);
+                // A join body whose uses were all in scope references only
+                // its parameters; otherwise name the first var that is not.
+                let extra = if self.out_of_scope > out_of_scope {
+                    jp_body
+                        .free_vars()
+                        .into_iter()
+                        .find(|v| !params.contains(v))
+                } else {
+                    None
+                };
                 if let Some(v) = extra {
                     self.error(
                         codes::JOIN_CAPTURE,
@@ -257,16 +285,19 @@ impl Checker<'_> {
                         ),
                     );
                 }
-                let mut joins = joins.clone();
-                joins.insert(*label, params.len());
-                self.check_expr(body, scope, &joins);
+                let shadowed_join = self.joins.insert(*label, params.len());
+                self.check_expr(body);
+                match shadowed_join {
+                    Some(arity) => self.joins.insert(*label, arity),
+                    None => self.joins.remove(label),
+                };
             }
             Expr::Case {
                 scrutinee,
                 alts,
                 default,
             } => {
-                self.check_var(*scrutinee, scope);
+                self.check_var(*scrutinee);
                 if alts.is_empty() && default.is_none() {
                     self.error(codes::EMPTY_CASE, "case with no arms".to_string());
                 }
@@ -278,17 +309,17 @@ impl Checker<'_> {
                             format!("duplicate case tag {}", alt.tag),
                         );
                     }
-                    self.check_expr(&alt.body, scope, joins);
+                    self.check_expr(&alt.body);
                 }
                 if let Some(d) = default {
-                    self.check_expr(d, scope, joins);
+                    self.check_expr(d);
                 }
             }
             Expr::Jump { label, args } => {
                 for &a in args {
-                    self.check_var(a, scope);
+                    self.check_var(a);
                 }
-                match joins.get(label) {
+                match self.joins.get(label) {
                     Some(&arity) if arity == args.len() => {}
                     Some(&arity) => self.error(
                         codes::JUMP_ARITY,
@@ -303,10 +334,10 @@ impl Checker<'_> {
                     ),
                 }
             }
-            Expr::Ret(v) => self.check_var(*v, scope),
+            Expr::Ret(v) => self.check_var(*v),
             Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
-                self.check_var(*var, scope);
-                self.check_expr(body, scope, joins);
+                self.check_var(*var);
+                self.check_expr(body);
             }
         }
     }
@@ -359,6 +390,29 @@ def length(xs) :=
         assert!(errs
             .iter()
             .any(|e| e.message.contains("bound more than once")));
+    }
+
+    #[test]
+    fn bindings_end_with_their_body() {
+        let codes = |body: Expr| -> Vec<&'static str> {
+            match check_program(&single_fn(body, vec![0], 10)) {
+                Ok(()) => vec![],
+                Err(errs) => errs.iter().map(|e| e.code).collect(),
+            }
+        };
+        // x1 belongs to the first arm only.
+        let arms = vec![(0, let_(1, Value::LitInt(1), ret(1))), (1, ret(1))];
+        assert_eq!(codes(case(0, arms, None)), vec![codes::OUT_OF_SCOPE]);
+        // Join parameters are not in scope in the join's scope body; a
+        // parameter rebinding x0 ends with the join body.
+        let join = |param: VarId, body: Expr| Expr::LetJoin {
+            label: 0,
+            params: vec![param],
+            jp_body: Box::new(ret(param)),
+            body: Box::new(body),
+        };
+        assert_eq!(codes(join(1, ret(1))), vec![codes::OUT_OF_SCOPE]);
+        assert_eq!(codes(join(0, ret(0))), vec![codes::REBOUND]);
     }
 
     #[test]

@@ -5,94 +5,124 @@
 //! runs of characters that are not whitespace, parentheses, quotes, or `;`;
 //! the parser decides whether an atom is a variable (`x12`), a join label
 //! (`j3`), an integer, a keyword (`def`, `let`, …), or a function name.
+//!
+//! Tokens borrow from the source: an atom is a `&'a str` slice of the text
+//! it was read from, so lexing allocates only the token vector and the
+//! decoded payload of each string literal (escapes make those differ from
+//! the source bytes).
 
 use crate::diag::{Diagnostic, E_LEX_CHAR, E_LEX_STRING};
 use crate::span::Span;
 
 /// What kind of token this is.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// `(`
     LParen,
     /// `)`
     RParen,
-    /// A bare atom (identifier, number, keyword).
-    Atom(String),
+    /// A bare atom (identifier, number, keyword), borrowed from the source.
+    Atom(&'a str),
     /// A string literal, with escapes already decoded.
     Str(String),
 }
 
 /// One token with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token's class and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte range in the source.
     pub span: Span,
 }
 
-/// Splits `src` into tokens. Lexical errors are collected (and the offending
-/// bytes skipped) so one bad character does not hide later diagnostics.
-pub fn lex(src: &str) -> (Vec<Token>, Vec<Diagnostic>) {
-    let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
-    let mut diags = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b';' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    span: Span::new(i as u32, i as u32 + 1),
-                });
-                i += 1;
-            }
-            b')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    span: Span::new(i as u32, i as u32 + 1),
-                });
-                i += 1;
-            }
-            b'"' => {
-                let (len, result) = lex_string(&src[i..], i as u32);
-                match result {
-                    Ok(token) => tokens.push(token),
-                    Err(d) => diags.push(d),
-                }
-                i += len;
-            }
-            _ if is_atom_byte(b) => {
-                let start = i;
-                while i < bytes.len() && is_atom_byte(bytes[i]) {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Atom(src[start..i].to_string()),
-                    span: Span::new(start as u32, i as u32),
-                });
-            }
-            _ => {
-                // A control byte or other character no token can start with.
-                // Skip the whole (possibly multi-byte) character.
-                let c = src[i..].chars().next().expect("in-bounds char");
-                diags.push(Diagnostic::new(
-                    E_LEX_CHAR,
-                    format!("unexpected character {:?}", c),
-                    Span::new(i as u32, (i + c.len_utf8()) as u32),
-                ));
-                i += c.len_utf8();
-            }
+/// Splits a source into tokens, one at a time: the reader consumes them
+/// without a token vector. Lexical errors are collected in
+/// [`Lexer::diagnostics`] (and the offending bytes skipped) so one bad
+/// character does not hide later diagnostics.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Lexical errors met so far, in source order.
+    pub diagnostics: Vec<Diagnostic>,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'a str) -> Lexer<'a> {
+        Lexer {
+            src,
+            pos: 0,
+            diagnostics: Vec::new(),
         }
     }
-    (tokens, diags)
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        let mut i = self.pos;
+        let token = loop {
+            let Some(&b) = bytes.get(i) else {
+                break None;
+            };
+            match b {
+                b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+                b';' => {
+                    while i < bytes.len() && bytes[i] != b'\n' {
+                        i += 1;
+                    }
+                }
+                b'(' | b')' => {
+                    let kind = if b == b'(' {
+                        TokenKind::LParen
+                    } else {
+                        TokenKind::RParen
+                    };
+                    i += 1;
+                    break Some(Token {
+                        kind,
+                        span: Span::new(i as u32 - 1, i as u32),
+                    });
+                }
+                b'"' => {
+                    let (len, token, err) = lex_string(&src[i..], i as u32);
+                    self.diagnostics.extend(err);
+                    i += len;
+                    if token.is_some() {
+                        break token;
+                    }
+                }
+                _ if is_atom_byte(b) => {
+                    let start = i;
+                    while i < bytes.len() && is_atom_byte(bytes[i]) {
+                        i += 1;
+                    }
+                    break Some(Token {
+                        kind: TokenKind::Atom(&src[start..i]),
+                        span: Span::new(start as u32, i as u32),
+                    });
+                }
+                _ => {
+                    // A control byte or other character no token can start
+                    // with. Skip the whole (possibly multi-byte) character.
+                    let c = src[i..].chars().next().expect("in-bounds char");
+                    self.diagnostics.push(Diagnostic::new(
+                        E_LEX_CHAR,
+                        format!("unexpected character {:?}", c),
+                        Span::new(i as u32, (i + c.len_utf8()) as u32),
+                    ));
+                    i += c.len_utf8();
+                }
+            }
+        };
+        self.pos = i;
+        token
+    }
 }
 
 /// Whether `b` can appear inside a bare atom.
@@ -102,11 +132,14 @@ fn is_atom_byte(b: u8) -> bool {
 }
 
 /// Lexes one string literal starting at `src[0] == '"'`. Returns the number
-/// of bytes consumed and the token or a diagnostic.
+/// of bytes consumed, the token (absent only when the literal is
+/// unterminated), and the literal's first error.
 ///
 /// On a bad escape the first error is recorded but scanning continues to the
-/// closing quote, so the rest of the input still lexes token-aligned.
-fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
+/// closing quote, so the rest of the input still lexes token-aligned, and
+/// the literal still yields its token, so the enclosing form keeps its
+/// shape and the error is not echoed by the parser.
+fn lex_string(src: &str, base: u32) -> (usize, Option<Token<'static>>, Option<Diagnostic>) {
     let bytes = src.as_bytes();
     debug_assert_eq!(bytes[0], b'"');
     let mut out = String::new();
@@ -119,21 +152,16 @@ fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
                 "unterminated string literal".to_string(),
                 Span::new(base, base + i as u32),
             );
-            return (i, Err(err.unwrap_or(unterminated)));
+            return (i, None, Some(err.unwrap_or(unterminated)));
         };
         match b {
             b'"' => {
                 i += 1;
-                return (
-                    i,
-                    match err {
-                        Some(e) => Err(e),
-                        None => Ok(Token {
-                            kind: TokenKind::Str(out),
-                            span: Span::new(base, base + i as u32),
-                        }),
-                    },
-                );
+                let token = Token {
+                    kind: TokenKind::Str(out),
+                    span: Span::new(base, base + i as u32),
+                };
+                return (i, Some(token), err);
             }
             b'\\' => {
                 let escape_start = i;
@@ -160,10 +188,15 @@ fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
                         i += 1;
                     }
                     Some(b'u') => {
-                        // \u{HEX}
+                        // \u{HEX}. The closing brace must come before the
+                        // next quote: a `}` past it belongs to later tokens.
                         i += 1;
                         let ok = bytes.get(i) == Some(&b'{');
-                        let close = src[i..].find('}').map(|off| i + off);
+                        let close = bytes[i..]
+                            .iter()
+                            .position(|&c| c == b'}' || c == b'"')
+                            .map(|off| i + off)
+                            .filter(|&end| bytes[end] == b'}');
                         match (ok, close) {
                             (true, Some(close)) => {
                                 let hex = &src[i + 1..close];
@@ -229,7 +262,13 @@ fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn lex(src: &str) -> (Vec<Token<'_>>, Vec<Diagnostic>) {
+        let mut lexer = Lexer::new(src);
+        let tokens = lexer.by_ref().collect();
+        (tokens, lexer.diagnostics)
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         let (tokens, diags) = lex(src);
         assert!(diags.is_empty(), "{diags:?}");
         tokens.into_iter().map(|t| t.kind).collect()
@@ -241,11 +280,11 @@ mod tests {
         assert!(diags.is_empty());
         assert_eq!(tokens.len(), 5);
         assert_eq!(tokens[0].kind, TokenKind::LParen);
-        assert_eq!(tokens[1].kind, TokenKind::Atom("ret".into()));
+        assert_eq!(tokens[1].kind, TokenKind::Atom("ret"));
         assert_eq!(tokens[1].span, Span::new(1, 4));
-        assert_eq!(tokens[2].kind, TokenKind::Atom("x0".into()));
+        assert_eq!(tokens[2].kind, TokenKind::Atom("x0"));
         assert_eq!(tokens[3].kind, TokenKind::RParen);
-        assert_eq!(tokens[4].kind, TokenKind::Atom("42".into()));
+        assert_eq!(tokens[4].kind, TokenKind::Atom("42"));
         assert_eq!(tokens[4].span, Span::new(28, 30));
     }
 
@@ -273,6 +312,20 @@ mod tests {
     }
 
     #[test]
+    fn unicode_escape_ends_at_its_own_literal() {
+        // The `}` that closes nothing in `main` sits in the next function's
+        // literal; the escape must not reach it.
+        let src = "(def main () (let x0 \"\\u{41\" (ret x0)))\n\
+                   (def f () (let x0 \"}\" (ret x0)))";
+        let diags = crate::check_source(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, E_LEX_STRING);
+        assert_eq!(diags[0].span, Some(Span::new(22, 24)), "ends inside line 1");
+        let (tokens, _) = lex(src);
+        assert!(tokens.iter().any(|t| t.kind == TokenKind::Str("}".into())));
+    }
+
+    #[test]
     fn stray_control_character_reported_and_skipped() {
         let (tokens, diags) = lex("(ret \u{1} x0)");
         assert_eq!(diags.len(), 1);
@@ -285,9 +338,9 @@ mod tests {
         assert_eq!(
             kinds("-42 lean_nat_add else"),
             vec![
-                TokenKind::Atom("-42".into()),
-                TokenKind::Atom("lean_nat_add".into()),
-                TokenKind::Atom("else".into()),
+                TokenKind::Atom("-42"),
+                TokenKind::Atom("lean_nat_add"),
+                TokenKind::Atom("else"),
             ]
         );
     }

@@ -38,6 +38,7 @@ use crate::diag::{Diagnostic, E_BAD_FORM, E_BAD_TOKEN};
 use crate::sexp::{read, Sexp, SexpKind};
 use crate::span::Span;
 use lssa_lambda::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
+use lssa_lambda::scope::{Scope, Shadowed};
 use lssa_lambda::wellformed::codes;
 use lssa_rt::Builtin;
 use std::collections::{HashMap, HashSet};
@@ -93,7 +94,7 @@ pub fn parse_source(src: &str) -> ParseOutcome {
         structural_ok: structurally_clean,
         sigs: HashMap::new(),
         func: String::new(),
-        bound_once: HashSet::new(),
+        scope: Scope::default(),
         max_var: None,
         max_join: None,
     };
@@ -113,8 +114,8 @@ struct Lowerer<'a> {
     sigs: HashMap<String, usize>,
     /// Name of the function currently being lowered (for notes).
     func: String,
-    /// Binders seen in the current function (uniqueness check).
-    bound_once: HashSet<VarId>,
+    /// What is in scope, and what was bound before, in the current function.
+    scope: Scope,
     max_var: Option<VarId>,
     max_join: Option<JoinId>,
 }
@@ -205,7 +206,7 @@ impl Lowerer<'_> {
 
     fn parse_name(&mut self, sexp: &Sexp) -> Option<String> {
         match &sexp.kind {
-            SexpKind::Atom(s) => Some(s.clone()),
+            SexpKind::Atom(s) => Some(s.to_string()),
             SexpKind::Str(s) => Some(s.clone()),
             SexpKind::List(_) => {
                 self.token_error(sexp.span, "expected a function name".to_string());
@@ -219,9 +220,8 @@ impl Lowerer<'_> {
     fn lower_program(&mut self, forest: &[Sexp]) -> Program {
         // Pass 1: signatures (arity of every def, for call checking).
         // A def awaiting pass 2: its body form, name, and lowered params.
-        type PendingDef<'a> = (&'a Sexp, String, Vec<(VarId, Span)>);
+        type PendingDef<'f, 'a> = (&'f Sexp<'a>, String, Vec<(VarId, Span)>);
         let mut order: Vec<PendingDef> = Vec::new();
-        let mut seen_names: HashSet<String> = HashSet::new();
         for top in forest {
             let Some(items) = top.as_list() else {
                 self.form_error(
@@ -283,7 +283,7 @@ impl Lowerer<'_> {
             if !params_ok {
                 continue;
             }
-            if !seen_names.insert(name.clone()) {
+            if self.sigs.insert(name.clone(), params.len()).is_some() {
                 self.func = name.clone();
                 self.wf(
                     codes::DUPLICATE_FUNCTION,
@@ -291,7 +291,6 @@ impl Lowerer<'_> {
                     items[1].span,
                 );
             }
-            self.sigs.insert(name.clone(), params.len());
             order.push((top, name, params));
         }
         // Pass 2: lower bodies.
@@ -299,24 +298,24 @@ impl Lowerer<'_> {
         for (top, name, params) in order {
             let items = top.as_list().expect("validated in pass 1");
             self.func = name.clone();
-            self.bound_once = HashSet::new();
+            self.scope.begin_function();
             self.max_var = None;
             self.max_join = None;
-            let mut scope: HashSet<VarId> = HashSet::new();
             let mut param_ids = Vec::new();
             for (id, span) in &params {
                 self.max_var = Some(self.max_var.map_or(*id, |m| m.max(*id)));
-                if !self.bound_once.insert(*id) {
+                // Parameters stay bound until the next function begins.
+                let (_, rebound) = self.scope.bind(*id);
+                if rebound {
                     self.wf(
                         codes::REBOUND,
                         format!("parameter x{id} bound twice"),
                         *span,
                     );
                 }
-                scope.insert(*id);
                 param_ids.push(*id);
             }
-            let body = self.lower_expr(&items[3], &scope, &HashMap::new(), None);
+            let body = self.lower_expr(&items[3], &mut HashMap::new(), None);
             program.fns.push(FnDef {
                 name,
                 params: param_ids,
@@ -330,16 +329,15 @@ impl Lowerer<'_> {
 
     // ---- expressions ------------------------------------------------------
 
-    /// Lowers one expression. `jp` is `Some((label, outer_scope))` while
-    /// inside a join-point body: `outer_scope` is what was visible at the
-    /// join's declaration, used to tell a *capture* (E0105) from a plain
-    /// out-of-scope use (E0101).
+    /// Lowers one expression. `joins` maps each jumpable join label to its
+    /// arity. `jp` is `Some((label, outer_frame))` while inside a join-point
+    /// body: `outer_frame` is the scope frame that declared the join, used
+    /// to tell a *capture* (E0105) from a plain out-of-scope use (E0101).
     fn lower_expr(
         &mut self,
         sexp: &Sexp,
-        scope: &HashSet<VarId>,
-        joins: &HashMap<JoinId, usize>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
+        joins: &mut HashMap<JoinId, usize>,
+        jp: Option<(JoinId, u32)>,
     ) -> Option<Expr> {
         let Some(items) = sexp.as_list() else {
             self.form_error(
@@ -348,27 +346,26 @@ impl Lowerer<'_> {
             );
             return None;
         };
-        let head = items.first().and_then(Sexp::as_atom).map(str::to_owned);
-        let Some(head) = head else {
+        let Some(head) = items.first().and_then(Sexp::as_atom) else {
             self.form_error(
                 sexp.span,
                 "expected an expression form like `(ret x0)`".to_string(),
             );
             return None;
         };
-        match head.as_str() {
+        match head {
             "let" => {
                 if items.len() != 4 {
                     self.form_error(sexp.span, "`let` takes a variable, a value, and a body");
                     return None;
                 }
                 let var = self.parse_var(&items[1]);
-                let val = self.lower_value(&items[2], scope, jp);
-                let mut inner = scope.clone();
-                if let Some(v) = var {
-                    self.bind(v, items[1].span, &mut inner);
+                let val = self.lower_value(&items[2], jp);
+                let shadowed = var.map(|v| (v, self.bind(v, items[1].span)));
+                let body = self.lower_expr(&items[3], joins, jp);
+                if let Some((v, prev)) = shadowed {
+                    self.scope.unbind(v, prev);
                 }
-                let body = self.lower_expr(&items[3], &inner, joins, jp);
                 Some(Expr::Let {
                     var: var?,
                     val: val?,
@@ -394,28 +391,35 @@ impl Lowerer<'_> {
                     );
                     return None;
                 };
+                // The join point's body sees only its parameters (a fresh
+                // frame); the declaring frame is carried for capture
+                // classification. Enclosing join points stay jumpable
+                // (mirroring the AST checker).
+                let outer = self.scope.enter_frame();
                 let mut params = Vec::new();
-                let mut jp_scope = HashSet::new();
+                let mut shadowed = Vec::new();
                 let mut params_ok = true;
                 for p in param_items {
                     match self.parse_var(p) {
                         Some(v) => {
-                            self.bind(v, p.span, &mut jp_scope);
+                            shadowed.push(self.bind(v, p.span));
                             params.push(v);
                         }
                         None => params_ok = false,
                     }
                 }
-                // The join point's body sees only its parameters; the current
-                // scope is carried for capture classification. Enclosing join
-                // points stay jumpable (mirroring the AST checker).
-                let jp_body =
-                    self.lower_expr(&items[3], &jp_scope, joins, label.map(|l| (l, scope)));
-                let mut body_joins = joins.clone();
-                if let Some(l) = label {
-                    body_joins.insert(l, params.len());
+                let jp_body = self.lower_expr(&items[3], joins, label.map(|l| (l, outer)));
+                for (&v, prev) in params.iter().zip(shadowed).rev() {
+                    self.scope.unbind(v, prev);
                 }
-                let body = self.lower_expr(&items[4], scope, &body_joins, jp);
+                self.scope.exit_frame(outer);
+                let declared = label.map(|l| (l, joins.insert(l, params.len())));
+                let body = self.lower_expr(&items[4], joins, jp);
+                match declared {
+                    Some((l, Some(arity))) => _ = joins.insert(l, arity),
+                    Some((l, None)) => _ = joins.remove(&l),
+                    None => {}
+                }
                 if !params_ok {
                     return None;
                 }
@@ -433,7 +437,7 @@ impl Lowerer<'_> {
                 }
                 let scrutinee = self.parse_var(&items[1]);
                 if let Some(v) = scrutinee {
-                    self.check_use(v, items[1].span, scope, jp);
+                    self.check_use(v, items[1].span, jp);
                 }
                 let mut alts: Vec<Alt> = Vec::new();
                 let mut default: Option<Box<Expr>> = None;
@@ -461,7 +465,7 @@ impl Lowerer<'_> {
                             self.form_error(arm_items[0].span, "duplicate `else` arm");
                             ok = false;
                         }
-                        let body = self.lower_expr(&arm_items[1], scope, joins, jp);
+                        let body = self.lower_expr(&arm_items[1], joins, jp);
                         match body {
                             Some(b) if default.is_none() => default = Some(Box::new(b)),
                             _ => ok = false,
@@ -478,7 +482,7 @@ impl Lowerer<'_> {
                             );
                         }
                     }
-                    let body = self.lower_expr(&arm_items[1], scope, joins, jp);
+                    let body = self.lower_expr(&arm_items[1], joins, jp);
                     match (tag, body) {
                         (Some(tag), Some(body)) => alts.push(Alt { tag, body }),
                         _ => ok = false,
@@ -511,7 +515,7 @@ impl Lowerer<'_> {
                 for a in &items[2..] {
                     match self.parse_var(a) {
                         Some(v) => {
-                            self.check_use(v, a.span, scope, jp);
+                            self.check_use(v, a.span, jp);
                             args.push(v);
                         }
                         None => ok = false,
@@ -546,7 +550,7 @@ impl Lowerer<'_> {
                     return None;
                 }
                 let v = self.parse_var(&items[1])?;
-                self.check_use(v, items[1].span, scope, jp);
+                self.check_use(v, items[1].span, jp);
                 Some(Expr::Ret(v))
             }
             "inc" => {
@@ -556,10 +560,10 @@ impl Lowerer<'_> {
                 }
                 let var = self.parse_var(&items[1]);
                 if let Some(v) = var {
-                    self.check_use(v, items[1].span, scope, jp);
+                    self.check_use(v, items[1].span, jp);
                 }
                 let n = self.parse_u32(&items[2], "a retain count");
-                let body = self.lower_expr(&items[3], scope, joins, jp);
+                let body = self.lower_expr(&items[3], joins, jp);
                 Some(Expr::Inc {
                     var: var?,
                     n: n?,
@@ -573,9 +577,9 @@ impl Lowerer<'_> {
                 }
                 let var = self.parse_var(&items[1]);
                 if let Some(v) = var {
-                    self.check_use(v, items[1].span, scope, jp);
+                    self.check_use(v, items[1].span, jp);
                 }
-                let body = self.lower_expr(&items[2], scope, joins, jp);
+                let body = self.lower_expr(&items[2], joins, jp);
                 Some(Expr::Dec {
                     var: var?,
                     body: Box::new(body?),
@@ -595,12 +599,7 @@ impl Lowerer<'_> {
 
     // ---- values -----------------------------------------------------------
 
-    fn lower_value(
-        &mut self,
-        sexp: &Sexp,
-        scope: &HashSet<VarId>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
-    ) -> Option<Value> {
+    fn lower_value(&mut self, sexp: &Sexp, jp: Option<(JoinId, u32)>) -> Option<Value> {
         match &sexp.kind {
             SexpKind::Str(s) => Some(Value::LitStr(s.clone())),
             SexpKind::Atom(text) => {
@@ -609,7 +608,7 @@ impl Lowerer<'_> {
                     && text.as_bytes()[1..].iter().all(u8::is_ascii_digit)
                 {
                     let v = self.parse_var(sexp)?;
-                    self.check_use(v, sexp.span, scope, jp);
+                    self.check_use(v, sexp.span, jp);
                     return Some(Value::Var(v));
                 }
                 match text.parse::<i64>() {
@@ -631,22 +630,21 @@ impl Lowerer<'_> {
                 }
             }
             SexpKind::List(items) => {
-                let head = items.first().and_then(Sexp::as_atom).map(str::to_owned);
-                let Some(head) = head else {
+                let Some(head) = items.first().and_then(Sexp::as_atom) else {
                     self.form_error(
                         sexp.span,
                         "expected a value form like `(call f x0)`".to_string(),
                     );
                     return None;
                 };
-                match head.as_str() {
+                match head {
                     "big" => {
                         if items.len() != 2 {
                             self.form_error(sexp.span, "`big` takes one digit sequence");
                             return None;
                         }
                         let digits = match &items[1].kind {
-                            SexpKind::Atom(s) => s.clone(),
+                            SexpKind::Atom(s) => s.to_string(),
                             SexpKind::Str(s) => s.clone(),
                             SexpKind::List(_) => {
                                 self.token_error(items[1].span, "expected digits");
@@ -668,7 +666,7 @@ impl Lowerer<'_> {
                             return None;
                         }
                         let tag = self.parse_u32(&items[1], "a constructor tag");
-                        let args = self.lower_var_list(&items[2..], scope, jp);
+                        let args = self.lower_var_list(&items[2..], jp);
                         Some(Value::Ctor {
                             tag: tag?,
                             args: args?,
@@ -682,7 +680,7 @@ impl Lowerer<'_> {
                         let idx = self.parse_u32(&items[1], "a field index");
                         let var = self.parse_var(&items[2]);
                         if let Some(v) = var {
-                            self.check_use(v, items[2].span, scope, jp);
+                            self.check_use(v, items[2].span, jp);
                         }
                         Some(Value::Proj {
                             var: var?,
@@ -698,7 +696,7 @@ impl Lowerer<'_> {
                             return None;
                         }
                         let func = self.parse_name(&items[1]);
-                        let args = self.lower_var_list(&items[2..], scope, jp);
+                        let args = self.lower_var_list(&items[2..], jp);
                         let (func, args) = (func?, args?);
                         if head == "call" {
                             self.check_call(&func, args.len(), items[1].span);
@@ -718,9 +716,9 @@ impl Lowerer<'_> {
                         }
                         let closure = self.parse_var(&items[1]);
                         if let Some(v) = closure {
-                            self.check_use(v, items[1].span, scope, jp);
+                            self.check_use(v, items[1].span, jp);
                         }
-                        let args = self.lower_var_list(&items[2..], scope, jp);
+                        let args = self.lower_var_list(&items[2..], jp);
                         let args = args?;
                         if args.is_empty() {
                             self.wf(
@@ -748,18 +746,13 @@ impl Lowerer<'_> {
         }
     }
 
-    fn lower_var_list(
-        &mut self,
-        items: &[Sexp],
-        scope: &HashSet<VarId>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
-    ) -> Option<Vec<VarId>> {
+    fn lower_var_list(&mut self, items: &[Sexp], jp: Option<(JoinId, u32)>) -> Option<Vec<VarId>> {
         let mut out = Vec::with_capacity(items.len());
         let mut ok = true;
         for item in items {
             match self.parse_var(item) {
                 Some(v) => {
-                    self.check_use(v, item.span, scope, jp);
+                    self.check_use(v, item.span, jp);
                     out.push(v);
                 }
                 None => ok = false,
@@ -770,25 +763,21 @@ impl Lowerer<'_> {
 
     // ---- wellformedness ---------------------------------------------------
 
-    fn bind(&mut self, v: VarId, span: Span, scope: &mut HashSet<VarId>) {
-        if !self.bound_once.insert(v) {
+    /// Brings `v` into scope; the caller unbinds it after the binder's body.
+    fn bind(&mut self, v: VarId, span: Span) -> Shadowed {
+        let (prev, rebound) = self.scope.bind(v);
+        if rebound {
             self.wf(codes::REBOUND, format!("x{v} bound more than once"), span);
         }
-        scope.insert(v);
+        prev
     }
 
-    fn check_use(
-        &mut self,
-        v: VarId,
-        span: Span,
-        scope: &HashSet<VarId>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
-    ) {
-        if scope.contains(&v) {
+    fn check_use(&mut self, v: VarId, span: Span, jp: Option<(JoinId, u32)>) {
+        if self.scope.contains(v) {
             return;
         }
         match jp {
-            Some((label, outer)) if outer.contains(&v) => self.wf(
+            Some((label, outer)) if self.scope.in_frame(v, outer) => self.wf(
                 codes::JOIN_CAPTURE,
                 format!("join point j{label} body references x{v}, which is not a parameter"),
                 span,
@@ -980,6 +969,26 @@ mod tests {
         assert_eq!(
             codes_of("(def main (x0) (case x0 (0 (ret x0)) (0 (ret x0))))"),
             vec![codes::DUPLICATE_TAG]
+        );
+    }
+
+    #[test]
+    fn bindings_end_with_their_body() {
+        // x1 belongs to the first arm only.
+        assert_eq!(
+            codes_of("(def f (x0) (case x0 (0 (let x1 1 (ret x1))) (1 (ret x1))))"),
+            vec![codes::OUT_OF_SCOPE]
+        );
+        // Join parameters are not in scope in the join's scope body.
+        assert_eq!(
+            codes_of("(def f (x0) (join j0 (x1) (ret x1) (ret x1)))"),
+            vec![codes::OUT_OF_SCOPE]
+        );
+        // A join parameter rebinding x0 ends with the join body; the
+        // parameter x0 is in scope again after it.
+        assert_eq!(
+            codes_of("(def f (x0) (join j0 (x0) (ret x0) (ret x0)))"),
+            vec![codes::REBOUND]
         );
     }
 
