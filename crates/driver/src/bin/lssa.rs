@@ -14,10 +14,13 @@
 //! lssa bench --diff <old.json> <new.json>
 //! ```
 //!
-//! Every verb rejects a `--flag` it does not know, or a value-taking flag
-//! given without its value, with exit code **2**, naming the flag, so a
-//! script passing a retired or misspelt knob — or a budget with no number
-//! — fails loudly instead of silently measuring the default.
+//! A malformed command line — no verb or an unknown one, a `--flag` the
+//! verb does not know, or a value-taking flag given without its value —
+//! exits with code **2**, names the problem and prints the usage text, so
+//! a script passing a retired or misspelt knob — or a budget with no
+//! number — fails loudly instead of silently measuring the default. Every
+//! other error (unreadable file, parse or compile error) prints only its
+//! `error: …` line and exits 1.
 //!
 //! Files ending in `.lssa` are parsed by the S-expression text frontend
 //! (`lssa-syntax`); anything else uses the built-in surface language. The
@@ -57,9 +60,9 @@
 //! `run` executes under resource governance (see `lssa_driver::jobs`):
 //! `--step-budget N` caps executed instructions, `--heap-budget BYTES`
 //! caps live heap bytes, `--deadline-ms MS` sets a wall-clock deadline.
-//! A run that exhausts any budget exits with code **3** (success is 0,
-//! all other errors 1), so callers can tell "the program is wrong" from
-//! "the program was stopped".
+//! A run that exhausts any budget exits with code **3** (success is 0, a
+//! malformed command line 2, all other errors 1), so callers can tell
+//! "the program is wrong" from "the program was stopped".
 //!
 //! `bench --json` measures the selected workloads under every knob
 //! configuration (see `lssa_driver::benchjson`), prints each workload's
@@ -88,17 +91,26 @@ use std::time::Duration;
 
 const MAX_STEPS: u64 = 2_000_000_000;
 
+/// Stack of the thread that parses, compiles and runs. The surface parser
+/// admits expressions up to [`lssa_lambda::parse::MAX_DEPTH`] levels deep,
+/// and the recursive passes after it take about 13 KiB of stack per level
+/// in an unoptimized build (under 3 KiB optimized), so the depth limit
+/// keeps a program inside this stack in every build profile.
+const STACK_BYTES: usize = 64 << 20;
+
 /// Exit code for a run that exhausted a resource budget (step, heap,
 /// depth, deadline, cancellation) rather than failing on its own merits.
-/// 0 = success, 1 = any other error, 3 = resource exhaustion.
+/// 0 = success, 1 = any other error, 2 = malformed command line, 3 =
+/// resource exhaustion.
 const EXIT_RESOURCE: u8 = 3;
 
-/// Exit code for a command line naming a flag its verb does not accept, or
-/// a value-taking flag without its value.
-const EXIT_BAD_FLAG: u8 = 2;
+/// Exit code for a malformed command line: no verb or an unknown one, a
+/// flag its verb does not accept, or a value-taking flag without its value.
+/// Only these errors print the usage text.
+const EXIT_USAGE: u8 = 2;
 
 /// The flags a verb accepts, as `(flag, takes a value)` pairs; `None` for
-/// an unknown verb (which `run` reports).
+/// an unknown verb.
 fn verb_flags(verb: &str) -> Option<Vec<(&'static str, bool)>> {
     // What `decode_options` and `exec_options` read.
     let decode = [("--no-fuse", false)];
@@ -141,17 +153,13 @@ fn verb_flags(verb: &str) -> Option<Vec<(&'static str, bool)>> {
     Some(flags)
 }
 
-/// Rejects the first `--flag` the verb does not accept, and a value-taking
-/// flag that ends the command line without its value. Values of
-/// value-taking flags are skipped, so `--out --weird-name.json` is a
-/// file name, not a flag.
-fn check_flags(args: &[String]) -> Result<(), String> {
-    let Some(verb) = args.first() else {
-        return Ok(());
-    };
-    let Some(flags) = verb_flags(verb) else {
-        return Ok(());
-    };
+/// Rejects a missing or unknown verb, the first `--flag` the verb does
+/// not accept, and a value-taking flag that ends the command line without
+/// its value. Values of value-taking flags are skipped, so
+/// `--out --weird-name.json` is a file name, not a flag.
+fn check_usage(args: &[String]) -> Result<(), String> {
+    let verb = args.first().ok_or("missing command")?;
+    let flags = verb_flags(verb).ok_or_else(|| format!("unknown command `{verb}`"))?;
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
         if !a.starts_with("--") {
@@ -189,19 +197,24 @@ fn print_usage() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = check_flags(&args) {
+    if let Err(msg) = check_usage(&args) {
         eprintln!("error: {msg}");
         print_usage();
-        return ExitCode::from(EXIT_BAD_FLAG);
+        return ExitCode::from(EXIT_USAGE);
     }
-    match run(&args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            print_usage();
-            ExitCode::FAILURE
-        }
-    }
+    let worker = std::thread::Builder::new()
+        .stack_size(STACK_BYTES)
+        .spawn(move || match run(&args) {
+            Ok(code) => code,
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                ExitCode::FAILURE
+            }
+        })
+        .expect("spawn the driver thread");
+    worker
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -291,8 +304,7 @@ fn file_args(args: &[String]) -> Vec<&str> {
 
 #[allow(clippy::too_many_lines)]
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let cmd = args.first().ok_or("missing command")?;
-    match cmd.as_str() {
+    match args[0].as_str() {
         "run" => {
             let file = args.get(1).ok_or("missing file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
@@ -648,7 +660,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`check_usage` admits no verb `{other}`"),
     }
 }
 

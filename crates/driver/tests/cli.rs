@@ -633,3 +633,67 @@ fn parse_error_is_reported() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
     std::fs::remove_file(path).ok();
 }
+
+/// Surface expressions nested past the parser's depth limit — by
+/// parentheses or by a left-associative operator chain — exit 1 with an
+/// error naming the limit instead of aborting on a stack overflow, and
+/// print no usage text; programs exactly at the limit still run.
+#[test]
+fn over_deep_surface_expressions_exit_1_naming_the_limit() {
+    let max = lssa_lambda::parse::MAX_DEPTH;
+    let parens = |n: usize| format!("def main() := {}1{}\n", "(".repeat(n), ")".repeat(n));
+    let chain = |n: usize| format!("def main() := {}\n", vec!["1"; n].join(" + "));
+    for (name, src) in [("parens", parens(5000)), ("chain", chain(5000))] {
+        let path = write_temp(&format!("deep-{name}"), &src);
+        let out = output_within_60s(lssa().args(["run"]).arg(&path));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("limit of {max} levels")),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("usage:"), "{name}: {stderr}");
+        std::fs::remove_file(path).ok();
+    }
+    for (name, src, want) in [
+        ("parens-at-limit", parens(max - 1), "1".to_string()),
+        ("chain-at-limit", chain(max), max.to_string()),
+    ] {
+        let path = write_temp(name, &src);
+        let out = output_within_60s(lssa().args(["run"]).arg(&path));
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), want, "{name}");
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// Only a malformed command line prints the usage text (exit 2); a file
+/// that cannot be read, or a program that does not parse, prints just its
+/// `error: …` line (exit 1).
+#[test]
+fn usage_text_only_for_usage_errors() {
+    for args in [
+        &[][..],
+        &["frobnicate"][..],
+        &["run", "x.fl", "--bogus"][..],
+    ] {
+        let out = lssa().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let bad = write_temp("usage-bad", "def !");
+    let missing = std::env::temp_dir().join("lssa-cli-no-such-file.fl");
+    for path in [&bad, &missing] {
+        let out = lssa().args(["run"]).arg(path).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{path:?}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{path:?}: {stderr}");
+    }
+    std::fs::remove_file(bad).ok();
+}

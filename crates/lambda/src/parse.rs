@@ -24,6 +24,9 @@
 //! Operators map to runtime builtins: `+ - * / % == != < <= > >=` are the
 //! `Nat` operations; `@name(args)` calls the runtime builtin `lean_name`
 //! directly (e.g. `@int_add`, `@array_get`).
+//!
+//! Expressions may nest at most [`MAX_DEPTH`] levels; deeper input is a
+//! [`SurfaceError`], never a stack overflow.
 
 use crate::ast::{build, Alt, Expr, FnDef, JoinId, Program, Value, VarId};
 use std::collections::HashMap;
@@ -267,10 +270,25 @@ enum SPat {
 
 // ---- parser --------------------------------------------------------------
 
+/// The deepest expression [`parse_program`] accepts. Depth counts the
+/// levels of an expression's syntax tree: a literal or name is one level,
+/// and each enclosing parenthesis, `let`, `if`, `case`, call and each
+/// operator of a chain adds one — so `((1))` has depth 3 and the
+/// left-associative chain `1 + 1 + 1` has depth 3 too. The parser checks
+/// the limit while it descends and before it builds each node, so no deeper
+/// tree is ever built; deeper input is rejected with a [`SurfaceError`]
+/// instead of exhausting the stack of the recursive passes downstream.
+pub const MAX_DEPTH: usize = 1000;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     tok: Tok,
+    /// Enclosing [`Parser::parse_expr`] calls (never above [`MAX_DEPTH`]).
+    nest: usize,
 }
+
+/// A parsed expression and its depth (see [`MAX_DEPTH`]).
+type Node = (SExpr, usize);
 
 #[derive(Debug, Clone)]
 struct CtorInfo {
@@ -287,13 +305,32 @@ struct CtorInfo {
 pub fn parse_program(src: &str) -> Result<Program, SurfaceError> {
     let mut lexer = Lexer::new(src);
     let tok = lexer.next()?;
-    let mut p = Parser { lexer, tok };
+    let mut p = Parser {
+        lexer,
+        tok,
+        nest: 0,
+    };
     p.parse_program()
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> SurfaceError {
         self.lexer.err(message)
+    }
+
+    /// The depth of a node whose deepest child has depth `child`, checked
+    /// against [`MAX_DEPTH`] before the node is built.
+    fn deeper(&self, child: usize) -> Result<usize, SurfaceError> {
+        if child >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
+    }
+
+    fn too_deep(&self) -> SurfaceError {
+        self.err(format!(
+            "expression nests deeper than the limit of {MAX_DEPTH} levels"
+        ))
     }
 
     fn advance(&mut self) -> Result<Tok, SurfaceError> {
@@ -401,7 +438,7 @@ impl<'a> Parser<'a> {
                     }
                     self.expect_punct(")")?;
                     self.expect_punct(":=")?;
-                    let body = self.parse_expr()?;
+                    let (body, _) = self.parse_expr()?;
                     defs.push((name, params, body));
                 }
                 other => return Err(self.err(format!("expected item, found {other:?}"))),
@@ -420,43 +457,59 @@ impl<'a> Parser<'a> {
         Ok(program)
     }
 
-    // Expressions.
-    fn parse_expr(&mut self) -> Result<SExpr, SurfaceError> {
+    // Expressions. Every nested expression is parsed through `parse_expr`,
+    // so `nest` bounds the parser's own recursion; `Node` depths bound the
+    // trees that chains build without recursing.
+    fn parse_expr(&mut self) -> Result<Node, SurfaceError> {
+        if self.nest == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nest += 1;
+        let node = self.parse_expr_nested();
+        self.nest -= 1;
+        node
+    }
+
+    fn parse_expr_nested(&mut self) -> Result<Node, SurfaceError> {
         match self.tok.clone() {
             Tok::Kw("let") => {
                 self.advance()?;
                 let name = self.lower_ident()?;
                 self.expect_punct(":=")?;
-                let rhs = self.parse_expr()?;
+                let (rhs, d1) = self.parse_expr()?;
                 self.expect_punct(";")?;
-                let body = self.parse_expr()?;
-                Ok(SExpr::Let(name, Box::new(rhs), Box::new(body)))
+                let (body, d2) = self.parse_expr()?;
+                let depth = self.deeper(d1.max(d2))?;
+                Ok((SExpr::Let(name, Box::new(rhs), Box::new(body)), depth))
             }
             Tok::Kw("if") => {
                 self.advance()?;
-                let c = self.parse_expr()?;
+                let (c, d1) = self.parse_expr()?;
                 self.expect_kw("then")?;
-                let t = self.parse_expr()?;
+                let (t, d2) = self.parse_expr()?;
                 self.expect_kw("else")?;
-                let e = self.parse_expr()?;
-                Ok(SExpr::If(Box::new(c), Box::new(t), Box::new(e)))
+                let (e, d3) = self.parse_expr()?;
+                let depth = self.deeper(d1.max(d2).max(d3))?;
+                Ok((SExpr::If(Box::new(c), Box::new(t), Box::new(e)), depth))
             }
             Tok::Kw("case") => {
                 self.advance()?;
-                let scrut = self.parse_expr()?;
+                let (scrut, mut depth) = self.parse_expr()?;
                 self.expect_kw("of")?;
                 let mut arms = Vec::new();
                 while self.eat_punct("|")? {
                     let pat = self.parse_pattern()?;
                     self.expect_punct("=>")?;
-                    let body = self.parse_expr()?;
+                    let (body, d) = self.parse_expr()?;
+                    depth = depth.max(d);
                     arms.push((pat, body));
                 }
                 self.expect_kw("end")?;
                 if arms.is_empty() {
                     return Err(self.err("case needs at least one arm"));
                 }
-                Ok(SExpr::Case(Box::new(scrut), arms))
+                let depth = self.deeper(depth)?;
+                Ok((SExpr::Case(Box::new(scrut), arms), depth))
             }
             _ => self.parse_cmp(),
         }
@@ -493,32 +546,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_cmp(&mut self) -> Result<SExpr, SurfaceError> {
-        let lhs = self.parse_add()?;
+    fn parse_cmp(&mut self) -> Result<Node, SurfaceError> {
+        let (lhs, d1) = self.parse_add()?;
         for op in ["==", "!=", "<=", ">=", "<", ">"] {
             if self.tok == Tok::Punct(op) {
                 self.advance()?;
-                let rhs = self.parse_add()?;
-                return Ok(SExpr::Binop(
-                    match op {
-                        "==" => "==",
-                        "!=" => "!=",
-                        "<=" => "<=",
-                        ">=" => ">=",
-                        "<" => "<",
-                        ">" => ">",
-                        _ => unreachable!(),
-                    },
-                    Box::new(lhs),
-                    Box::new(rhs),
-                ));
+                let (rhs, d2) = self.parse_add()?;
+                let depth = self.deeper(d1.max(d2))?;
+                return Ok((SExpr::Binop(op, Box::new(lhs), Box::new(rhs)), depth));
             }
         }
-        Ok(lhs)
+        Ok((lhs, d1))
     }
 
-    fn parse_add(&mut self) -> Result<SExpr, SurfaceError> {
-        let mut lhs = self.parse_mul()?;
+    fn parse_add(&mut self) -> Result<Node, SurfaceError> {
+        let (mut lhs, mut depth) = self.parse_mul()?;
         loop {
             let op = if self.tok == Tok::Punct("+") {
                 "+"
@@ -528,14 +570,15 @@ impl<'a> Parser<'a> {
                 break;
             };
             self.advance()?;
-            let rhs = self.parse_mul()?;
+            let (rhs, d) = self.parse_mul()?;
+            depth = self.deeper(depth.max(d))?;
             lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn parse_mul(&mut self) -> Result<SExpr, SurfaceError> {
-        let mut lhs = self.parse_apply()?;
+    fn parse_mul(&mut self) -> Result<Node, SurfaceError> {
+        let (mut lhs, mut depth) = self.parse_apply()?;
         loop {
             let op = if self.tok == Tok::Punct("*") {
                 "*"
@@ -547,60 +590,64 @@ impl<'a> Parser<'a> {
                 break;
             };
             self.advance()?;
-            let rhs = self.parse_apply()?;
+            let (rhs, d) = self.parse_apply()?;
+            depth = self.deeper(depth.max(d))?;
             lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn parse_apply(&mut self) -> Result<SExpr, SurfaceError> {
-        let mut atom = self.parse_atom()?;
+    fn parse_apply(&mut self) -> Result<Node, SurfaceError> {
+        let (mut atom, mut depth) = self.parse_atom()?;
         while self.tok == Tok::Punct("(") {
             self.advance()?;
-            let mut args = Vec::new();
-            if self.tok != Tok::Punct(")") {
-                loop {
-                    args.push(self.parse_expr()?);
-                    if !self.eat_punct(",")? {
-                        break;
-                    }
-                }
-            }
-            self.expect_punct(")")?;
+            let (args, d) = self.parse_args()?;
+            depth = self.deeper(depth.max(d))?;
             atom = SExpr::Apply(Box::new(atom), args);
         }
-        Ok(atom)
+        Ok((atom, depth))
     }
 
-    fn parse_atom(&mut self) -> Result<SExpr, SurfaceError> {
-        match self.advance()? {
-            Tok::Int(s) => Ok(SExpr::Int(s)),
-            Tok::Str(s) => Ok(SExpr::Str(s)),
-            Tok::Kw("true") => Ok(SExpr::Bool(true)),
-            Tok::Kw("false") => Ok(SExpr::Bool(false)),
-            Tok::LowerIdent(s) => Ok(SExpr::Var(s)),
-            Tok::UpperIdent(s) => Ok(SExpr::CtorRef(s)),
+    /// A call's comma-separated arguments up to the closing `)` (the `(`
+    /// already consumed), with the deepest argument's depth.
+    fn parse_args(&mut self) -> Result<(Vec<SExpr>, usize), SurfaceError> {
+        let mut args = Vec::new();
+        let mut depth = 0;
+        if self.tok != Tok::Punct(")") {
+            loop {
+                let (arg, d) = self.parse_expr()?;
+                depth = depth.max(d);
+                args.push(arg);
+                if !self.eat_punct(",")? {
+                    break;
+                }
+            }
+        }
+        self.expect_punct(")")?;
+        Ok((args, depth))
+    }
+
+    fn parse_atom(&mut self) -> Result<Node, SurfaceError> {
+        let leaf = match self.advance()? {
+            Tok::Int(s) => SExpr::Int(s),
+            Tok::Str(s) => SExpr::Str(s),
+            Tok::Kw("true") => SExpr::Bool(true),
+            Tok::Kw("false") => SExpr::Bool(false),
+            Tok::LowerIdent(s) => SExpr::Var(s),
+            Tok::UpperIdent(s) => SExpr::CtorRef(s),
             Tok::AtIdent(s) => {
                 self.expect_punct("(")?;
-                let mut args = Vec::new();
-                if self.tok != Tok::Punct(")") {
-                    loop {
-                        args.push(self.parse_expr()?);
-                        if !self.eat_punct(",")? {
-                            break;
-                        }
-                    }
-                }
-                self.expect_punct(")")?;
-                Ok(SExpr::AtCall(s, args))
+                let (args, d) = self.parse_args()?;
+                return Ok((SExpr::AtCall(s, args), self.deeper(d)?));
             }
             Tok::Punct("(") => {
-                let e = self.parse_expr()?;
+                let (e, d) = self.parse_expr()?;
                 self.expect_punct(")")?;
-                Ok(e)
+                return Ok((e, self.deeper(d)?));
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
-        }
+            other => return Err(self.err(format!("expected expression, found {other:?}"))),
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -1270,6 +1317,71 @@ def use() := pair(1)(2, 3)
         assert!(parse_program("inductive T := A | A").is_err());
         let e = parse_program("def f(\n\n!").unwrap_err();
         assert!(e.line >= 1);
+    }
+
+    /// Runs `f` on a thread whose stack holds [`MAX_DEPTH`] parser levels
+    /// in every build profile (test threads default to 2 MiB).
+    fn with_deep_stack(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(64 << 20)
+                .spawn_scoped(s, f)
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+    }
+
+    #[test]
+    fn depth_limit_counts_nesting_and_operator_chains() {
+        let parens = |n: usize| format!("def main() := {}1{}", "(".repeat(n), ")".repeat(n));
+        let chain = |n: usize| format!("def main() := {}", vec!["1"; n].join(" + "));
+        let lets = |n: usize| {
+            let binds: String = (0..n).map(|i| format!("let x{i} := {i}; ")).collect();
+            format!("def main() := {binds}x0")
+        };
+        let calls = |n: usize| {
+            format!(
+                "def f(x) := x\ndef main() := {}1{}",
+                "f(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        // A chain whose first term is parenthesised `p` deep: the chain's
+        // operators stack on top of the nesting, depth `(p + 1) + (k - 1)`.
+        let mixed = |p: usize, k: usize| {
+            format!(
+                "def main() := {}1{} + {}",
+                "(".repeat(p),
+                ")".repeat(p),
+                vec!["1"; k - 1].join(" + ")
+            )
+        };
+        let limit = format!("limit of {MAX_DEPTH} levels");
+        with_deep_stack(|| {
+            // (at the limit, one level past it)
+            let cases = [
+                (parens(MAX_DEPTH - 1), parens(MAX_DEPTH)),
+                (chain(MAX_DEPTH), chain(MAX_DEPTH + 1)),
+                (lets(MAX_DEPTH - 1), lets(MAX_DEPTH)),
+                (calls(MAX_DEPTH - 1), calls(MAX_DEPTH)),
+                (mixed(400, MAX_DEPTH - 400), mixed(400, MAX_DEPTH - 399)),
+                (mixed(MAX_DEPTH - 2, 2), mixed(MAX_DEPTH - 1, 2)),
+            ];
+            let rejected = |src: &str| match parse_program(src) {
+                Ok(_) => panic!("parsed past the limit: {}…", &src[..60]),
+                Err(e) => assert!(e.message.contains(&limit), "{e}"),
+            };
+            for (at, past) in &cases {
+                if let Err(e) = parse_program(at) {
+                    panic!("{e}: {}…", &at[..60]);
+                }
+                rejected(past);
+            }
+            // Far past the limit: rejected without building the tree.
+            rejected(&parens(100_000));
+            rejected(&chain(100_000));
+        });
     }
 
     #[test]

@@ -4,6 +4,17 @@
 //! list, explicit `inc`/`dec` reference-count operations (the targets of
 //! `lp.inc`/`lp.dec`), and allocation statistics used by the evaluation
 //! harness to report memory behaviour.
+//!
+//! Constructor field storage is recycled by arity, the way LEAN's runtime
+//! serves small objects from per-size free lists: a dead constructor's
+//! `Box<[ObjRef]>` goes onto the recycle list for its field count, and the
+//! next constructor with that many fields is filled into it instead of
+//! asking the system allocator for a fresh box ([`HeapStats::ctor_reuses`]
+//! counts these). Zero-field constructors own no storage and never touch
+//! the lists. Retained memory needs no knob: a box is created only when its
+//! list is empty, so for each field count the boxes held — live plus
+//! listed — equal the high-water mark of live constructors with that field
+//! count. [`Heap::free_all`] empties the lists.
 
 use crate::bignum::{Int, Nat};
 use crate::object::{ObjData, ObjRef, Object, MAX_SMALL_INT, MAX_SMALL_NAT, MIN_SMALL_INT};
@@ -15,6 +26,9 @@ pub struct HeapStats {
     pub allocs: u64,
     /// Constructor cells allocated.
     pub ctor_allocs: u64,
+    /// Constructor cells whose field storage came from a recycle list
+    /// rather than a fresh allocation (a subset of `ctor_allocs`).
+    pub ctor_reuses: u64,
     /// Closures allocated.
     pub closure_allocs: u64,
     /// Arrays allocated.
@@ -46,6 +60,7 @@ impl HeapStats {
     pub fn absorb(&mut self, other: &HeapStats) {
         self.allocs += other.allocs;
         self.ctor_allocs += other.ctor_allocs;
+        self.ctor_reuses += other.ctor_reuses;
         self.closure_allocs += other.closure_allocs;
         self.array_allocs += other.array_allocs;
         self.str_allocs += other.str_allocs;
@@ -110,6 +125,10 @@ pub struct Heap {
     trip_alloc: Option<u64>,
     /// Sticky budget-exceeded flag, polled via [`Heap::over_budget`].
     tripped: bool,
+    /// Recycle lists of constructor field storage: `ctor_pool[n]` holds
+    /// boxes of exactly `n` fields left by dead constructors. Each box is
+    /// owned by exactly one live constructor or by one list.
+    ctor_pool: Vec<Vec<Box<[ObjRef]>>>,
 }
 
 impl Heap {
@@ -178,12 +197,13 @@ impl Heap {
             .count() as u64
     }
 
-    /// Frees every live object unconditionally and rebuilds the free list —
-    /// the drop-all sweep an aborted run uses to reclaim objects still owned
-    /// by abandoned frames. Child references need no recursive dec: the
-    /// sweep visits every slot exactly once. Returns the number of objects
-    /// freed; afterwards `stats().live == 0` and, when the refcount
-    /// machinery was balanced, `stats().allocs == stats().frees`.
+    /// Frees every live object unconditionally, rebuilds the free list and
+    /// empties the constructor recycle lists — the drop-all sweep an
+    /// aborted run uses to reclaim objects still owned by abandoned frames.
+    /// Child references need no recursive dec: the sweep visits every slot
+    /// exactly once. Returns the number of objects freed; afterwards
+    /// `stats().live == 0` and, when the refcount machinery was balanced,
+    /// `stats().allocs == stats().frees`.
     pub fn free_all(&mut self) -> u64 {
         let mut freed = 0u64;
         let mut next = u32::MAX;
@@ -197,6 +217,7 @@ impl Heap {
             next = slot as u32;
         }
         self.free_head = (next != u32::MAX).then_some(next);
+        self.ctor_pool.clear();
         // Set the ledgers directly rather than decrementing per object: if
         // bookkeeping had drifted, decrements could underflow and mask the
         // very imbalance the caller is about to assert on via allocs/frees.
@@ -293,12 +314,39 @@ impl Heap {
     // ---- allocation -----------------------------------------------------
 
     /// Allocates a constructor cell. Ownership of `fields` transfers to the
-    /// new object (no `inc` is performed).
-    pub fn alloc_ctor(&mut self, tag: u32, fields: Vec<ObjRef>) -> ObjRef {
-        self.alloc(ObjData::Ctor {
-            tag,
-            fields: fields.into_boxed_slice(),
-        })
+    /// new object (no `inc` is performed). The fields are written into a
+    /// recycled box of their exact count when one is listed, and into a
+    /// fresh exact-size box otherwise, so callers stream them straight in
+    /// (the VM maps its registers) with no staging `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the iterator yields fewer items than its `len()` promised.
+    pub fn alloc_ctor<I>(&mut self, tag: u32, fields: I) -> ObjRef
+    where
+        I: IntoIterator<Item = ObjRef>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut fields = fields.into_iter();
+        let n = fields.len();
+        let fields = match self.ctor_pool.get_mut(n).and_then(Vec::pop) {
+            Some(mut boxed) => {
+                self.stats.ctor_reuses += 1;
+                let mut filled = 0;
+                for (slot, v) in boxed.iter_mut().zip(&mut fields) {
+                    *slot = v;
+                    filled += 1;
+                }
+                assert_eq!(filled, n, "constructor field iterator ended early");
+                debug_assert!(
+                    fields.next().is_none(),
+                    "constructor field iterator overran"
+                );
+                boxed
+            }
+            None => fields.collect(),
+        };
+        self.alloc(ObjData::Ctor { tag, fields })
     }
 
     /// Allocates a closure capturing `args`.
@@ -480,8 +528,9 @@ impl Heap {
         self.dec_scratch = worklist;
     }
 
-    /// Frees one object: threads the slot onto the free list and queues
-    /// its heap children for a deferred dec on `worklist`.
+    /// Frees one object: threads the slot onto the free list, queues its
+    /// heap children for a deferred dec on `worklist`, and lists a
+    /// constructor's field storage for reuse.
     fn free_one(&mut self, slot: u32, worklist: &mut Vec<ObjRef>) {
         let obj = &mut self.slots[slot as usize];
         let next_free = self.free_head.unwrap_or(u32::MAX);
@@ -493,6 +542,13 @@ impl Heap {
         match data {
             ObjData::Ctor { fields, .. } => {
                 worklist.extend(fields.iter().copied().filter(|f| f.is_heap()));
+                let n = fields.len();
+                if n > 0 {
+                    if self.ctor_pool.len() <= n {
+                        self.ctor_pool.resize_with(n + 1, Vec::new);
+                    }
+                    self.ctor_pool[n].push(fields);
+                }
             }
             ObjData::Closure { args, .. } => {
                 worklist.extend(args.iter().copied().filter(|a| a.is_heap()));
@@ -945,6 +1001,145 @@ mod tests {
         let again = h.alloc_ctor(9, vec![]);
         assert_eq!(h.ctor_tag(again), 9);
         assert_eq!(h.stats().live, 1);
+    }
+
+    /// Boxes listed for reuse, by field count.
+    fn listed(h: &Heap, n: usize) -> usize {
+        h.ctor_pool.get(n).map_or(0, Vec::len)
+    }
+
+    #[test]
+    fn freed_field_storage_is_reused_only_for_the_same_field_count() {
+        let mut h = Heap::new();
+        let pair = h.alloc_ctor(1, [ObjRef::scalar(1), ObjRef::scalar(2)]);
+        h.dec(pair);
+        assert_eq!(listed(&h, 2), 1);
+        let one = h.alloc_ctor(1, [ObjRef::scalar(3)]);
+        let triple = h.alloc_ctor(1, [ObjRef::scalar(4); 3]);
+        assert_eq!(h.stats().ctor_reuses, 0, "other field counts allocate");
+        assert_eq!(listed(&h, 2), 1);
+        let pair = h.alloc_ctor(2, [ObjRef::scalar(5), ObjRef::scalar(6)]);
+        assert_eq!(h.stats().ctor_reuses, 1);
+        assert_eq!(listed(&h, 2), 0);
+        for r in [one, triple, pair] {
+            h.dec(r);
+        }
+        assert_eq!((listed(&h, 1), listed(&h, 2), listed(&h, 3)), (1, 1, 1));
+        assert_eq!(h.stats().ctor_allocs, 4, "reuse keeps the object counts");
+    }
+
+    #[test]
+    fn recycled_constructor_holds_exactly_its_new_fields() {
+        let mut h = Heap::new();
+        let child = h.alloc_ctor(7, [ObjRef::scalar(70)]);
+        let old = h.alloc_ctor(1, [ObjRef::scalar(10), child, ObjRef::scalar(30)]);
+        h.dec(old); // frees `child` too; both boxes are listed
+        let fresh = h.alloc_ctor(2, [ObjRef::scalar(4), ObjRef::scalar(5), ObjRef::scalar(6)]);
+        assert_eq!(h.stats().ctor_reuses, 1);
+        assert_eq!(h.render(fresh), "ctor2(4, 5, 6)");
+        assert_eq!(h.stats().live_bytes, 16 + 3 * 8);
+        h.dec(fresh);
+        assert_eq!(h.stats().live, 0);
+    }
+
+    #[test]
+    fn zero_field_constructors_never_touch_the_lists() {
+        let mut h = Heap::new();
+        let nils: Vec<ObjRef> = (0..4).map(|_| h.alloc_ctor(0, [])).collect();
+        for r in nils {
+            h.dec(r);
+        }
+        let _nil = h.alloc_ctor(0, []);
+        assert_eq!(listed(&h, 0), 0);
+        assert_eq!(h.stats().ctor_reuses, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ended early")]
+    fn short_field_iterator_is_rejected() {
+        /// Claims three fields, yields one.
+        struct Liar(bool);
+        impl Iterator for Liar {
+            type Item = ObjRef;
+            fn next(&mut self) -> Option<ObjRef> {
+                std::mem::take(&mut self.0).then(|| ObjRef::scalar(1))
+            }
+        }
+        impl ExactSizeIterator for Liar {
+            fn len(&self) -> usize {
+                3
+            }
+        }
+        let mut h = Heap::new();
+        let triple = h.alloc_ctor(0, [ObjRef::scalar(0); 3]);
+        h.dec(triple);
+        h.alloc_ctor(0, Liar(true));
+    }
+
+    #[test]
+    fn free_all_empties_the_lists() {
+        let mut h = Heap::new();
+        let mut list = h.alloc_ctor(0, []);
+        for i in 0..10 {
+            list = h.alloc_ctor(1, [ObjRef::scalar(i), list]);
+        }
+        let head = h.ctor_field(list, 1);
+        h.inc(head);
+        h.dec(list);
+        assert_eq!(listed(&h, 2), 1);
+        h.free_all();
+        assert!(h.ctor_pool.iter().all(Vec::is_empty));
+        let pair = h.alloc_ctor(1, [ObjRef::scalar(1), ObjRef::scalar(2)]);
+        assert_eq!(h.stats().ctor_reuses, 0);
+        assert_eq!(h.render(pair), "ctor1(1, 2)");
+    }
+
+    #[test]
+    fn boxes_held_never_exceed_the_peak_of_live_constructors() {
+        // A seeded mix of allocations (1–6 fields, some pointing at live
+        // objects) and decs. After every step, for every field count, the
+        // boxes held — live constructors plus listed boxes — equal that
+        // count's high-water mark of live constructors.
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut h = Heap::new();
+        let mut roots: Vec<ObjRef> = Vec::new();
+        let mut peak = [0usize; 7];
+        for _ in 0..20_000 {
+            if roots.is_empty() || next(5) < 3 {
+                let n = 1 + next(6) as usize;
+                let fields: Vec<ObjRef> = (0..n)
+                    .map(|_| match roots.len() {
+                        0 => ObjRef::scalar(0),
+                        len => {
+                            let r = roots[next(len as u64) as usize];
+                            h.inc(r);
+                            r
+                        }
+                    })
+                    .collect();
+                roots.push(h.alloc_ctor(0, fields));
+            } else {
+                let r = roots.swap_remove(next(roots.len() as u64) as usize);
+                h.dec(r);
+            }
+            let mut live = [0usize; 7];
+            for o in &h.slots {
+                if let ObjData::Ctor { fields, .. } = &o.data {
+                    live[fields.len()] += 1;
+                }
+            }
+            for n in 1..7 {
+                peak[n] = peak[n].max(live[n]);
+                assert_eq!(live[n] + listed(&h, n), peak[n], "field count {n}");
+            }
+        }
+        assert!(h.stats().ctor_reuses > 0);
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl VmStatistics {
         );
         let _ = writeln!(
             out,
-            "  heap: {} allocs ({} ctor, {} closure, {} array, {} str, {} bigint), {} frees, peak {} live",
+            "  heap: {} allocs ({} ctor, {} closure, {} array, {} str, {} bigint), {} frees, peak {} live, {} ctor field boxes reused via free list",
             self.heap.allocs,
             self.heap.ctor_allocs,
             self.heap.closure_allocs,
@@ -441,6 +441,7 @@ impl VmStatistics {
             self.heap.bigint_allocs,
             self.heap.frees,
             self.heap.peak_live,
+            self.heap.ctor_reuses,
         );
         out
     }
@@ -477,14 +478,6 @@ struct Frame {
     after_ret: Vec<ObjRef>,
 }
 
-/// Wires a (possibly recycled) frame's register file: arguments copied
-/// from `scratch`, the remaining registers zeroed. Growth is *exact*,
-/// never amortized — a frame reallocates only when wired wider than ever
-/// before (a cold event), so the pool's retained footprint
-/// ([`VmStatistics::frame_pool_bytes`]) equals each frame's widest-ever
-/// wiring. `Vec`'s doubling policy would instead let a recycled frame
-/// jump to twice a stale capacity, making a *narrower* renumbered
-/// program retain a *larger* pool than the un-renumbered one.
 /// Scalar-scalar fast path for the hottest two-argument builtins: when
 /// both operands are scalars and the result provably fits a scalar, the
 /// whole builtin collapses to register arithmetic — no argument staging,
@@ -548,6 +541,14 @@ fn builtin_fast2(builtin: Builtin, a: u64, b: u64) -> Option<u64> {
     }
 }
 
+/// Wires a (possibly recycled) frame's register file: arguments copied
+/// from `scratch`, the remaining registers zeroed. Growth is *exact*,
+/// never amortized — a frame reallocates only when wired wider than ever
+/// before (a cold event), so the pool's retained footprint
+/// ([`VmStatistics::frame_pool_bytes`]) equals each frame's widest-ever
+/// wiring. `Vec`'s doubling policy would instead let a recycled frame
+/// jump to twice a stale capacity, making a *narrower* renumbered
+/// program retain a *larger* pool than the un-renumbered one.
 #[inline]
 fn wire_regs(regs: &mut Vec<u64>, scratch: &[u64], n_regs: u16) {
     regs.clear();
@@ -1424,12 +1425,13 @@ impl<'p> Vm<'p> {
                             inline_ret!(out.to_bits());
                         }
                         DecodedInstr::ConstructRet { tag, args } => {
-                            let fields: Vec<ObjRef> = f
-                                .arg_regs(args)
-                                .iter()
-                                .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                                .collect();
-                            let obj = heap.alloc_ctor(tag, fields);
+                            let regs = &frame.regs;
+                            let obj = heap.alloc_ctor(
+                                tag,
+                                f.arg_regs(args)
+                                    .iter()
+                                    .map(|&r| ObjRef::from_bits(regs[r.0 as usize])),
+                            );
                             class_allocs[OpClass::FusedConstructRet as usize] += 1;
                             inline_ret!(obj.to_bits());
                         }
@@ -1711,12 +1713,14 @@ fn cold_alloc(
             ctx.class_allocs[OpClass::Alloc as usize] += 1;
         }
         DecodedInstr::Construct { dst, tag, args } => {
-            let fields: Vec<ObjRef> = f
-                .arg_regs(args)
-                .iter()
-                .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                .collect();
-            frame.regs[dst.0 as usize] = ctx.heap.alloc_ctor(tag, fields).to_bits();
+            let regs = &frame.regs;
+            let obj = ctx.heap.alloc_ctor(
+                tag,
+                f.arg_regs(args)
+                    .iter()
+                    .map(|&r| ObjRef::from_bits(regs[r.0 as usize])),
+            );
+            frame.regs[dst.0 as usize] = obj.to_bits();
             ctx.class_allocs[OpClass::Alloc as usize] += 1;
         }
         _ => cold_mismatch(),

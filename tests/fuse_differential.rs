@@ -3,10 +3,10 @@
 //! the matrix is the decoded streams it runs. For every workload (under
 //! every compiler configuration) and every conformance case, {fused,
 //! unfused} decode × {renumbered, original} registers must produce
-//! byte-identical results and identical heap/allocation counters, frame
-//! depth and frame allocations — only the executed-cell counts may differ
-//! across fusion modes (fused runs fewer); renumbering may not change
-//! them at all.
+//! byte-identical results and identical heap/allocation counters (the
+//! constructor-storage reuse count among them), frame depth and frame
+//! allocations — only the executed-cell counts may differ across fusion
+//! modes (fused runs fewer); renumbering may not change them at all.
 //!
 //! Runtime errors count too: a program that traps must trap with the same
 //! message under every strategy.
@@ -40,8 +40,11 @@ fn matrix() -> Vec<(String, DecodeOptions)> {
 
 /// Runs one compiled program under the whole matrix and checks that every
 /// strategy agrees with the first (the default). Returns the default's
-/// rendering (for checksum asserts), or `None` if the program traps.
-fn assert_matrix_agrees(label: &str, program: &lambda_ssa::vm::CompiledProgram) -> Option<String> {
+/// run (for checksum asserts), or `None` if the program traps.
+fn assert_matrix_agrees(
+    label: &str,
+    program: &lambda_ssa::vm::CompiledProgram,
+) -> Option<lambda_ssa::vm::RunOutcome> {
     let combos = matrix();
     let run = |decode| {
         run_decoded_with(
@@ -59,6 +62,10 @@ fn assert_matrix_agrees(label: &str, program: &lambda_ssa::vm::CompiledProgram) 
                 assert_eq!(
                     r.rendered, g.rendered,
                     "{label} [{name}]: checksum diverged"
+                );
+                assert_eq!(
+                    r.vm_stats.heap.ctor_reuses, g.vm_stats.heap.ctor_reuses,
+                    "{label} [{name}]: constructor storage reuse diverged"
                 );
                 assert_eq!(
                     r.vm_stats.heap, g.vm_stats.heap,
@@ -99,7 +106,7 @@ fn assert_matrix_agrees(label: &str, program: &lambda_ssa::vm::CompiledProgram) 
             ),
         }
     }
-    reference.ok().map(|o| o.rendered)
+    reference.ok()
 }
 
 #[test]
@@ -109,9 +116,14 @@ fn workloads_agree_across_dispatch_matrix_and_all_pipelines() {
         for config in diff::configs() {
             let label = format!("{} [{}]", w.name, config.label());
             let program = compile(&w.src, config).unwrap_or_else(|e| panic!("{label}: {e}"));
-            let rendered = assert_matrix_agrees(&label, &program)
+            let out = assert_matrix_agrees(&label, &program)
                 .unwrap_or_else(|| panic!("{label}: workload must not trap"));
-            assert_eq!(rendered, w.expected_test, "{label}");
+            assert_eq!(out.rendered, w.expected_test, "{label}");
+            // Constructors that die before others are built hand their
+            // field storage on: the trees and the filtered lists do.
+            if ["binarytrees", "filter"].contains(&w.name) {
+                assert!(out.vm_stats.heap.ctor_reuses > 0, "{label}: no reuse");
+            }
         }
     });
 }
@@ -204,9 +216,9 @@ fn rc_opt_knob_preserves_behaviour_on_workloads() {
         // dispatch matrix (the rc-opt compile is covered by
         // `workloads_agree_across_dispatch_matrix_and_all_pipelines`)…
         let label = format!("{} [no-rc-opt]", w.name);
-        let rendered = assert_matrix_agrees(&label, &without)
+        let out = assert_matrix_agrees(&label, &without)
             .unwrap_or_else(|| panic!("{label}: workload must not trap"));
-        assert_eq!(rendered, w.expected_test, "{label}");
+        assert_eq!(out.rendered, w.expected_test, "{label}");
         // …and with the optimized compile head-to-head.
         assert_rc_knob_agrees(w.name, &with, &without).unwrap()
     });

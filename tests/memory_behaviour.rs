@@ -64,10 +64,22 @@ fn peak_memory_comparable_across_backends() {
 fn allocation_counts_match_reference_interpreter() {
     // The compiled pipelines must do the same number of allocations as the
     // λrc reference interpreter (the RC insertion fixes the program's
-    // allocation behaviour; backends must not add hidden allocations).
-    let w = by_name("binarytrees", Scale::Test).unwrap();
-    let rc = lambda_ssa::driver::pipelines::frontend(&w.src, CompilerConfig::none()).unwrap();
-    let oracle = lambda_ssa::lambda::run_program(&rc, "main", true, MAX_STEPS).unwrap();
-    let compiled = compile_and_run(&w.src, CompilerConfig::none(), MAX_STEPS).unwrap();
-    assert_eq!(oracle.stats.allocs, compiled.stats.heap.allocs);
+    // allocation behaviour; backends must not add hidden allocations), and
+    // reach the same peak of live objects.
+    for w in all(Scale::Test) {
+        for config in [
+            CompilerConfig::none(),
+            CompilerConfig::mlir(),
+            CompilerConfig::leanc(),
+        ] {
+            let label = format!("{} [{}]", w.name, config.label());
+            let rc = lambda_ssa::driver::pipelines::frontend(&w.src, config).unwrap();
+            let oracle = lambda_ssa::lambda::run_program(&rc, "main", true, MAX_STEPS).unwrap();
+            let compiled = compile_and_run(&w.src, config, MAX_STEPS).unwrap();
+            let (o, c) = (oracle.stats, compiled.stats.heap);
+            assert_eq!(o.allocs, c.allocs, "{label}: allocs");
+            assert_eq!(o.ctor_allocs, c.ctor_allocs, "{label}: ctor allocs");
+            assert_eq!(o.peak_live, c.peak_live, "{label}: peak live");
+        }
+    }
 }
